@@ -15,15 +15,17 @@ coefficient mass of the subset-v slices.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import fsum, prod
 
 import numpy as np
 
 from .basis import OperatorBasis, gellmann_basis, split_basis
 from .errors import NumericError
-from .states import DensityMatrix
+from .states import DensityMatrix, partial_trace
 
 IMAG_TOL = 1e-8
 
@@ -173,6 +175,38 @@ def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
     total = float((coeffs.array * coeffs.array).sum())
     c00 = float(coeffs.array[(0,) * coeffs.n_sites] ** 2)
     return total - _support_mass(coeffs, omega) - _support_mass(coeffs, sigma) + c00
+
+
+_FSUM = ContextVar("fsum_purities", default=False)
+
+
+@contextmanager
+def _fsum_purities():
+    """Reduce every marginal purity read inside the block with math.fsum."""
+    token = _FSUM.set(True)
+    try:
+        yield
+    finally:
+        _FSUM.reset(token)
+
+
+def _marginal_purity(state: DensityMatrix, keep) -> float:
+    """Tr(rho_v^2) of the marginal on the sites ``keep`` (all sites: the state).
+
+    Every closed-form check is a formula over these purities.  The standard
+    value is one numpy reduction, memoized on the state so that the checks
+    of one sample share their partial traces.  Inside ``_fsum_purities``
+    the same squares are reduced with math.fsum and nothing is cached; this
+    is the only place where the standard and precise evaluations differ.
+    """
+    keep = tuple(sorted(keep))
+    if _FSUM.get():
+        m = partial_trace(state, keep).matrix
+        return fsum((np.abs(m.ravel()) ** 2).tolist())
+    cache = state._marginal_purities
+    if keep not in cache:
+        cache[keep] = partial_trace(state, keep).purity()
+    return cache[keep]
 
 
 def purity_from_tensor(coeffs: BlochCoefficients) -> float:

@@ -8,16 +8,19 @@ q = 2 = 1 - Tr rho^2.
 
 Multi-site checks group sites: check_dim_ssa uses A = site 1, B = site 2,
 C = everything else; the bipartite checks use A = site 1 versus the rest.
+Linear entropies of marginals come from the memoized marginal-purity
+table in correlation.py, so every check at q = 2 is a formula over
+marginal purities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 
 import numpy as np
 
+from .correlation import _marginal_purity
 from .reports import InequalityReport, report_from_sides
 from .states import DensityMatrix, partial_trace
 
@@ -86,12 +89,13 @@ def entropy_vector(state: DensityMatrix) -> EntropyVector:
     values: dict[tuple[int, ...], float] = {}
     for r in range(1, n + 1):
         for v in combinations(range(n), r):
-            values[v] = linear_entropy(partial_trace(state, v))
+            values[v] = _sl(state, v)
     return EntropyVector(dims=state.dims, values=values)
 
 
-def _sl(state: DensityMatrix, keep) -> float:
-    return linear_entropy(partial_trace(state, keep))
+def _sl(state: DensityMatrix, keep=None) -> float:
+    """Linear entropy of the marginal on ``keep`` (default: the whole state)."""
+    return 1.0 - _marginal_purity(state, range(state.n_sites) if keep is None else keep)
 
 
 def check_dim_ssa(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
@@ -105,7 +109,7 @@ def check_dim_ssa(state: DensityMatrix, state_ref: str | None = None) -> Inequal
     da, db = state.dims[0], state.dims[1]
     c_sites = tuple(range(2, state.n_sites))
     const = (da * db + 1 - da - db) / (da * db)
-    lhs = linear_entropy(state) + _sl(state, c_sites) / (da * db)
+    lhs = _sl(state) + _sl(state, c_sites) / (da * db)
     rhs = _sl(state, (0,) + c_sites) / db + _sl(state, (1,) + c_sites) / da + const
     return report_from_sides("dim-ssa", lhs, rhs, state_ref=state_ref,
                              extras={"constant": const})
@@ -137,9 +141,12 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0,
     q = float(q)
     if q < 1.0:
         raise ValueError(f"invalid parameter q={q!r}: subadditivity needs q >= 1")
-    rest = tuple(range(1, state.n_sites))
-    lhs = tsallis(state, q)
-    rhs = tsallis(partial_trace(state, (0,)), q) + tsallis(partial_trace(state, rest), q)
+
+    def s_q(keep):
+        return _sl(state, keep) if q == 2.0 else tsallis(partial_trace(state, keep), q)
+
+    lhs = s_q(range(state.n_sites))
+    rhs = s_q((0,)) + s_q(range(1, state.n_sites))
     return report_from_sides("subadd", lhs, rhs, state_ref=state_ref, extras={"q": q})
 
 
@@ -152,10 +159,9 @@ def check_gen_pseudo_additivity(state: DensityMatrix, state_ref: str | None = No
     if state.n_sites < 2:
         raise ValueError(f"unsupported shape: need at least 2 sites, got {state.n_sites}")
     m = state.dim
-    rest = tuple(range(1, state.n_sites))
-    s_ab = linear_entropy(state)
+    s_ab = _sl(state)
     s_a = _sl(state, (0,))
-    s_b = _sl(state, rest)
+    s_b = _sl(state, range(1, state.n_sites))
     lhs = 1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2
     rhs = s_a + s_b - s_a * s_b
     return report_from_sides("gen-pseudo", lhs, rhs, state_ref=state_ref,

@@ -5,7 +5,9 @@ correlation mass is
 
 * equal group dimensions, or a composite group on either side: the sum of
   ||T^v||^2 over all subsets v that meet both groups (unitarily invariant,
-  so no maximization is needed);
+  so no maximization is needed).  By the purity identity this equals
+  D Tr(rho^2) - d_Omega Tr(rho_Omega^2) - d_Sigma Tr(rho_Sigma^2) + 1, and
+  it is evaluated from marginal purities, never from a coefficient tensor;
 * two single sites of unequal dimension: the maximum over basis changes on
   the larger site of the doubly-traceless block of coefficients against a
   split basis with cut equal to the smaller dimension.  The maximum is
@@ -25,10 +27,10 @@ from math import prod
 
 import numpy as np
 
-from .correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
-                          split_sector_norms, tensor_norm_sq)
+from .correlation import (_marginal_purity, bases_with_split, bloch_coefficients,
+                          split_sector_norms)
 from .errors import NotPureError
-from .reports import InequalityReport, report_from_sides
+from .reports import SLACK_TOL, InequalityReport, report_from_sides
 from .states import DensityMatrix, derive_seed, partial_trace
 
 PURE_TOL = 1e-10
@@ -296,27 +298,26 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     docstring for when the split-basis maximization runs.
     """
     omega, sigma = _check_partition(state, partition)
-    considered = tuple(sorted(omega + sigma))
-    if considered != tuple(range(state.n_sites)):
-        state = partial_trace(state, considered)
-        remap = {site: i for i, site in enumerate(considered)}
-        omega = tuple(remap[s] for s in omega)
-        sigma = tuple(remap[s] for s in sigma)
-    dims = state.dims
-    d_om = prod(dims[s] for s in omega)
-    d_sg = prod(dims[s] for s in sigma)
+    d_om = prod(state.dims[s] for s in omega)
+    d_sg = prod(state.dims[s] for s in sigma)
     if policy is None:
         policy = default_policy(omega, sigma)
     g = policy.resolve(d_om, d_sg)
+    considered = tuple(sorted(omega + sigma))
+    remap = {site: i for i, site in enumerate(considered)}
+    omega_r, sigma_r = tuple(remap[s] for s in omega), tuple(remap[s] for s in sigma)
 
     if len(omega) > 1 or len(sigma) > 1 or d_om == d_sg:
-        coeffs = bloch_coefficients(state)
-        raw = cross_norm_sum(coeffs, omega, sigma)
+        raw = (d_om * d_sg * _marginal_purity(state, considered)
+               - d_om * _marginal_purity(state, omega) - d_sg * _marginal_purity(state, sigma) + 1.0)
         return MonotoneResult(value=raw / g, g=g, raw=raw, converged=True, restarts=0,
                               delta=0.0, heuristic_max=False, unitary=None,
-                              partition=(omega, sigma))
+                              partition=(omega_r, sigma_r))
 
     # single site vs single site, unequal dimensions: optimize the split
+    state = partial_trace(state, considered)
+    dims = state.dims
+    omega, sigma = omega_r, sigma_r
     small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
     small_first = small_site < large_site
     d_small = dims[small_site]
@@ -388,19 +389,16 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None,
 def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     """Upper bound on T(AB|E) from the AB marginal alone (d_A = d_B = d).
 
-    (d^4 - 1 - 2||T^A||^2 - 2||T^B||^2 - 2||T^AB||^2) / ((d^2-1)(d_E-1)).
+    (d^4 - 1 - 2||T^A||^2 - 2||T^B||^2 - 2||T^AB||^2) / ((d^2-1)(d_E-1)),
+    which the purity identity turns into (d^4 + 1 - 2 d^2 Tr(rho_AB^2)) / g_ABE.
     """
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for eve bound: need two equal sites, got {state_ab.dims}")
     if d_e < 2:
         raise ValueError(f"invalid environment dimension {d_e}: need d_E >= 2")
     d = state_ab.dims[0]
-    coeffs = bloch_coefficients(state_ab)
-    na = tensor_norm_sq(coeffs, (0,))
-    nb = tensor_norm_sq(coeffs, (1,))
-    nab = tensor_norm_sq(coeffs, (0, 1))
     g_abe = (d * d - 1) * (d_e - 1)
-    return float((d ** 4 - 1 - 2.0 * (na + nb + nab)) / g_abe)
+    return float((d ** 4 + 1 - 2.0 * d * d * _marginal_purity(state_ab, (0, 1))) / g_abe)
 
 
 def check_thm1_ii(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
@@ -420,18 +418,14 @@ def excess(value: float, d: int) -> float:
 
 def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None,
                  state_ref: str | None = None) -> InequalityReport:
-    """Symmetry T(A|B) = T(B|A) and growth (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
+    """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
     if state.n_sites != 3:
         raise ValueError(f"unsupported shape: need 3 sites, got {state.n_sites}")
     t_ab = correlation_monotone(state, ((0,), (1,)), config=config)
-    t_ba = correlation_monotone(state, ((1,), (0,)), config=config)
     t_abe = correlation_monotone(state, ((0,), (1, 2)))
-    gap = abs(t_ab.value - t_ba.value)
     lhs = (t_ab.g / t_abe.g) * t_ab.value
     return report_from_sides("lemma5", lhs, t_abe.value, state_ref=state_ref,
-                             extra_holds=gap <= 1e-9,
-                             extras={"symmetry_gap": gap, "t_ab": t_ab.value,
-                                     "t_a_be": t_abe.value})
+                             extras={"t_ab": t_ab.value, "t_a_be": t_abe.value})
 
 
 def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
@@ -461,8 +455,8 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None,
     d = state_ab.dims[0]
     if d_e is None:
         d_e = d * d
-    coeffs = bloch_coefficients(state_ab)
-    local = tensor_norm_sq(coeffs, (0,)) + tensor_norm_sq(coeffs, (1,))
+    # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
+    local = d * (_marginal_purity(state_ab, (0,)) + _marginal_purity(state_ab, (1,))) - 2.0
     t = correlation_monotone(state_ab, ((0,), (1,))).value
     lower, upper = lemma6_bounds(d, d_e, min(max(t, 0.0), 1.0))
     slack = min(local - lower, upper - local)
@@ -471,7 +465,7 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None,
         lhs=lower,
         rhs=upper,
         slack=float(slack),
-        holds=bool(slack >= -1e-9),
+        holds=bool(slack >= -SLACK_TOL),
         state_ref=state_ref,
         extras={"local_mass": float(local), "t": float(t), "d_e": int(d_e)},
     )

@@ -13,7 +13,7 @@ class InequalityReport:
     """Outcome of one inequality evaluation on one state.
 
     ``slack`` is rhs - lhs; the check holds when slack >= -1e-9.  ``extras``
-    carries check-specific diagnostics (norms, margins, symmetry gaps).
+    carries check-specific diagnostics (norms, margins, component values).
     """
 
     inequality: str
@@ -26,14 +26,14 @@ class InequalityReport:
 
 
 def report_from_sides(name: str, lhs: float, rhs: float, *, state_ref: str | None = None,
-                      extra_holds: bool = True, extras: dict | None = None) -> InequalityReport:
+                      extras: dict | None = None) -> InequalityReport:
     slack = rhs - lhs
     return InequalityReport(
         inequality=name,
         lhs=float(lhs),
         rhs=float(rhs),
         slack=float(slack),
-        holds=bool(slack >= -SLACK_TOL and extra_holds),
+        holds=bool(slack >= -SLACK_TOL),
         state_ref=state_ref,
         extras=extras or {},
     )

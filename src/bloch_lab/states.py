@@ -34,6 +34,8 @@ class DensityMatrix:
     dims: tuple[int, ...]
     matrix: np.ndarray
     _purity: float | None = field(default=None, repr=False, compare=False)
+    # Tr(rho_v^2) per sorted site subset v, filled by correlation._marginal_purity
+    _marginal_purities: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dims = tuple(int(d) for d in self.dims)

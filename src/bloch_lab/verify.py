@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -26,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import bloch_coefficients
+from .correlation import _fsum_purities
 from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subadditivity)
 from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
                        check_thm1_ii)
 from .reports import CANDIDATE_TOL, SLACK_TOL
-from .states import DensityMatrix, EnsembleSpec, partial_trace, random_state
+from .states import DensityMatrix, EnsembleSpec, random_state
 
 CHECK_ORDER = ("thm1i", "thm1ii", "lemma5", "lemma6", "dim-ssa", "subadd", "gen-pseudo")
 
@@ -226,77 +225,18 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # ---------------------------------------------------------------------------
 # extended-precision re-evaluation
 #
-# Products stay in double precision; every reduction that feeds a slack is
-# redone with math.fsum so a candidate cannot be an artifact of naive
-# accumulation order.
-
-
-def _fsum_purity(matrix: np.ndarray) -> float:
-    parts = np.abs(matrix.ravel()) ** 2
-    return math.fsum(parts.tolist())
-
-
-def _fsum_sl(state: DensityMatrix, keep=None) -> float:
-    m = state.matrix if keep is None else partial_trace(state, keep).matrix
-    return 1.0 - _fsum_purity(m)
-
-
-def _fsum_norm(arr: np.ndarray, subset, n: int) -> float:
-    sl = tuple(slice(1, None) if j in subset else 0 for j in range(n))
-    block = arr[sl]
-    return math.fsum((block.ravel() ** 2).tolist())
+# Every closed-form check (and the equal-dimension or composite monotone) is
+# a formula over marginal purities Tr(rho_v^2).  The re-check runs the very
+# same checks with each purity's sum of squares reduced by math.fsum, so a
+# candidate cannot be an artifact of naive accumulation order.  The split
+# optimizer (thm1i and lemma5 between sites of unequal dimension) reads no
+# purities and repeats its standard evaluation.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = 8) -> float:
-    """Recompute a check's slack with fsum reductions."""
-    dims = state.dims
-    n = state.n_sites
-    if name == "dim-ssa":
-        da, db = dims[0], dims[1]
-        c_sites = tuple(range(2, n))
-        const = (da * db + 1 - da - db) / (da * db)
-        lhs = _fsum_sl(state) + _fsum_sl(state, c_sites) / (da * db)
-        rhs = _fsum_sl(state, (0,) + c_sites) / db + _fsum_sl(state, (1,) + c_sites) / da + const
-        return rhs - lhs
-    if name == "subadd":
-        rest = tuple(range(1, n))
-        return _fsum_sl(state, (0,)) + _fsum_sl(state, rest) - _fsum_sl(state)
-    if name == "gen-pseudo":
-        m = state.dim
-        rest = tuple(range(1, n))
-        s_ab = _fsum_sl(state)
-        s_a = _fsum_sl(state, (0,))
-        s_b = _fsum_sl(state, rest)
-        return (s_a + s_b - s_a * s_b) - (1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2)
-    if name == "thm1ii":
-        d, d_e = dims[0], dims[2]
-        g_abe = (d * d - 1) * (d_e - 1)
-        ab = partial_trace(state, (0, 1))
-        arr = bloch_coefficients(ab).array
-        na = _fsum_norm(arr, (0,), 2)
-        nb = _fsum_norm(arr, (1,), 2)
-        nab = _fsum_norm(arr, (0, 1), 2)
-        bound = (d ** 4 - 1 - 2.0 * (na + nb + nab)) / g_abe
-        full = bloch_coefficients(state).array
-        raw = math.fsum([
-            _fsum_norm(full, v, 3) for v in ((0, 2), (1, 2), (0, 1, 2))
-        ])
-        return bound - raw / g_abe
-    if name == "thm1i" and dims[0] == dims[1] == dims[2]:
-        arr = bloch_coefficients(state).array
-        g = dims[0] * dims[0] - 1
-        n_ae = _fsum_norm(arr, (0, 2), 3)
-        n_be = _fsum_norm(arr, (1, 2), 3)
-        n_abe = _fsum_norm(arr, (0, 1, 2), 3)
-        # marginal monotones drop the third site's coefficients entirely
-        ae = bloch_coefficients(partial_trace(state, (0, 2))).array
-        be = bloch_coefficients(partial_trace(state, (1, 2))).array
-        lhs = (_fsum_norm(ae, (0, 1), 2) + _fsum_norm(be, (0, 1), 2)) / g
-        rhs = (n_ae + n_be + n_abe) / g
-        return rhs - lhs
-    # optimizer-backed or unusual shapes: repeat the standard evaluation
-    table = make_check_table(dims, restarts=restarts)
-    return table[name](state).slack
+    """Recompute a check's slack with fsum-reduced marginal purities."""
+    with _fsum_purities():
+        return make_check_table(state.dims, restarts=restarts)[name](state).slack
 
 
 def _dump_counterexample(campaign: Campaign, name: str, index: int,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from bloch_lab import (DensityMatrix, EnsembleSpec, NumericError, all_subset_norms,
                        bases_with_split, bloch_coefficients, cross_norm_sum,
-                       max_entangled, maximally_mixed, pure, purity_from_tensor,
+                       max_entangled, maximally_mixed, partial_trace, pure, purity_from_tensor,
                        random_state, reconstruct, split_purity, split_sector_norms,
                        tensor, tensor_norm_sq)
+from bloch_lab.correlation import _fsum_purities, _marginal_purity
 
 
 def hs_state(dims, seed, index=0):
@@ -59,6 +62,18 @@ def test_canonical_purity_identity(dims):
         s = hs_state(dims, seed=31, index=i)
         assert purity_from_tensor(bloch_coefficients(s)) == pytest.approx(
             s.purity(), abs=1e-12)
+
+
+def test_marginal_purity_table_memoizes_and_switches_to_fsum():
+    s = hs_state((2, 2, 3), seed=37)
+    marginal = partial_trace(s, (0, 2)).matrix
+    assert _marginal_purity(s, (2, 0)) == partial_trace(s, (0, 2)).purity()
+    assert (0, 2) in s._marginal_purities
+    with _fsum_purities():
+        precise = _marginal_purity(s, (0, 2))
+        assert _marginal_purity(s, (1,)) == pytest.approx(partial_trace(s, (1,)).purity(), abs=1e-14)
+    assert precise == math.fsum((np.abs(marginal.ravel()) ** 2).tolist())
+    assert (1,) not in s._marginal_purities  # the precise table is never cached
 
 
 @pytest.mark.parametrize("site,cut", [(0, 1), (1, 1), (1, 2), (1, 3)])

@@ -100,20 +100,20 @@ def test_resolve_threads_env(monkeypatch):
 # precise re-evaluation and dumps
 
 
-@pytest.mark.parametrize("name", ["dim-ssa", "subadd", "gen-pseudo", "thm1i", "thm1ii"])
+# every check on every shape where it applies; thm1i on (2, 2, 3) runs the
+# split optimizer, which repeats its standard evaluation in the re-check
+@pytest.mark.parametrize("name", ["dim-ssa", "subadd", "gen-pseudo", "thm1i", "thm1ii",
+                                  "lemma5", "lemma6"])
 def test_precise_slack_matches_standard(name):
-    table = make_check_table((2, 2, 2), restarts=2)
-    for i in range(5):
-        s = random_state((2, 2, 2), hs(1), index=i)
-        std = table[name](s).slack
-        assert precise_slack(name, s, restarts=2) == pytest.approx(std, abs=1e-10), i
-
-
-def test_precise_slack_falls_back_for_lemma6():
-    s = random_state((2, 2), hs(2), index=0)
-    table = make_check_table((2, 2), restarts=2)
-    assert precise_slack("lemma6", s, restarts=2) == pytest.approx(
-        table["lemma6"](s).slack, abs=1e-10)
+    shapes = [d for d in ((2, 2), (3, 3), (2, 2, 2), (2, 2, 3))
+              if name in applicable_inequalities(d)]
+    assert shapes
+    for dims in shapes:
+        table = make_check_table(dims, restarts=2)
+        for i in range(5):
+            s = random_state(dims, hs(1), index=i)
+            std = table[name](s).slack
+            assert precise_slack(name, s, restarts=2) == pytest.approx(std, abs=1e-10), (dims, i)
 
 
 def test_counterexample_dump_layout(tmp_path):
