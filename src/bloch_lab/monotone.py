@@ -12,7 +12,12 @@ correlation mass is
   the larger site of the doubly-traceless block of coefficients against a
   split basis with cut equal to the smaller dimension.  The maximum is
   searched by random-restart coordinate ascent over complex Givens
-  rotations of the larger site's unitary.
+  rotations of the larger site's unitary.  Each Givens move is solved
+  exactly: its gain a.x + x^T b x, x = (sin^2 t, sin t cos t cos f,
+  sin t cos t sin f), becomes a quadratic over the unit sphere under
+  x = (e_0 + J n)/2 with J = diag(-1, 1, 1), maximized by one 3x3
+  eigendecomposition and a secular-equation solve (with the trust-region
+  "hard case" when the linear term misses the top eigenvector).
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -23,7 +28,7 @@ The reported value divides the raw mass by a normalization g chosen by a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import atan2, cos, hypot, prod, sin, sqrt
 
 import numpy as np
 
@@ -130,9 +135,16 @@ def _check_partition(state: DensityMatrix, partition):
 # which is quadratic in P, so a Givens move on two columns of U changes Q
 # by a closed-form trigonometric polynomial in the move angles.
 
-_GEN_K = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-_GEN_E1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_GEN_E2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+# generators (K, E1, E2) of a Givens move in the two-column frame
+_GENS = np.array([[[-1.0, 0.0], [0.0, 1.0]],
+                  [[0.0, 1.0], [1.0, 0.0]],
+                  [[0.0, -1.0j], [1.0j, 0.0]]], dtype=complex)
+# Tr(X G_k) = vec(X) . _TRACE_GEN[:, k]
+_TRACE_GEN = _GENS.transpose(2, 1, 0).reshape(4, 3)
+# for a 2x2-block pair A (x) B flattened to 16 entries, the 3x3 arrays
+# Tr(A G_k B G_l) and Tr(A G_k) Tr(B G_l)
+_CROSS_GEN = np.einsum("kbc,lda->abcdkl", _GENS, _GENS).reshape(16, 9)
+_PRODUCT_GEN = np.einsum("kba,ldc->abcdkl", _GENS, _GENS).reshape(16, 9)
 
 
 class _SplitObjective:
@@ -170,64 +182,98 @@ class _SplitObjective:
         return phi, float(q0)
 
     def move_forms(self, phi: np.ndarray, u: np.ndarray, v: np.ndarray):
-        """Linear and quadratic coefficients of a Givens move on columns (u, v)."""
-        phi_uv = complex(u.conj() @ (phi @ v))
-        a_k = float((v.conj() @ (phi @ v)).real - (u.conj() @ (phi @ u)).real)
-        a_1 = 2.0 * phi_uv.real
-        a_2 = -2.0 * phi_uv.imag
+        """Linear and quadratic coefficients of a Givens move on columns (u, v).
 
-        W = np.stack([u, v], axis=1)
-        Rt = np.einsum("xymn,mi,nj->xyij", self.R4, W.conj(), W)
-        rho_t = W.conj().T @ self.rho_B @ W
+        The move changes P by W (x_0 K + x_1 E1 + x_2 E2) W^dag with W = [u v],
+        so its gain is a.x + x^T b x with a_k = Tr(Phi~ G_k) and b_kl the
+        objective's bilinear form on (G_k, G_l), all in the W frame (~).
+        Each term of that form is a cross contraction Tr(A G_k B G_l) or a
+        product Tr(A G_k) Tr(B G_l) of a block pair: t1 and t2 of
+        sum_xy R~[x,y] (x) R~[y,x], t3 and t4 of rho_B~ (x) rho_B~.
+        """
+        W = np.array((u, v)).T
+        Wh = W.conj().T
+        a = ((Wh @ phi @ W).reshape(4) @ _TRACE_GEN).real
+        Rt = Wh @ self.R4 @ W
+        pair_r = Rt.reshape(-1, 4).T @ Rt.transpose(1, 0, 2, 3).reshape(-1, 4)
+        rho_t = (Wh @ self.rho_B @ W).reshape(4)
+        pair_rho = np.outer(rho_t, rho_t)
         c, dA = self.c, self.dA
-
-        def bil(X, Y) -> float:
-            t1 = np.einsum("xyab,bc,yxcd,da->", Rt, X, Rt, Y).real
-            NX = np.einsum("xyab,ba->xy", Rt, X)
-            NY = np.einsum("xyab,ba->xy", Rt, Y)
-            t2 = np.einsum("xy,yx->", NX, NY).real
-            t3 = np.trace(rho_t @ X @ rho_t @ Y).real
-            t4 = np.trace(rho_t @ X).real * np.trace(rho_t @ Y).real
-            return float(c * dA * t1 - dA * t2 - c * t3 + t4)
-
-        gens = (_GEN_K, _GEN_E1, _GEN_E2)
-        b = np.empty((3, 3))
-        for i in range(3):
-            for j in range(i, 3):
-                b[i, j] = b[j, i] = bil(gens[i], gens[j])
-        return (a_k, a_1, a_2), b
+        b = ((c * dA * pair_r - c * pair_rho).reshape(16) @ _CROSS_GEN
+             + (pair_rho - dA * pair_r).reshape(16) @ _PRODUCT_GEN)
+        return a, b.real.reshape(3, 3)
 
 
-_TH_GRID = np.linspace(0.0, np.pi, 49)
-_PH_GRID = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+_J = np.array([-1.0, 1.0, 1.0])
+_JJ = np.outer(_J, _J)
 
 
 def _best_move(lin, quad) -> tuple[float, float, float]:
-    """Maximize the move polynomial over (theta, phi); returns (gain, theta, phi)."""
-    a_k, a_1, a_2 = lin
-    th, ph = _TH_GRID, _PH_GRID
-    th_span, ph_span = np.pi, 2.0 * np.pi
-    best = (0.0, 0.0, 0.0)
-    for _ in range(5):
-        s = np.sin(th) ** 2
-        t = np.sin(th) * np.cos(th)
-        c_ph, s_ph = np.cos(ph), np.sin(ph)
-        lin_ph = a_1 * c_ph + a_2 * s_ph
-        cross_ph = quad[0, 1] * c_ph + quad[0, 2] * s_ph
-        quad_ph = quad[1, 1] * c_ph ** 2 + 2.0 * quad[1, 2] * c_ph * s_ph + quad[2, 2] * s_ph ** 2
-        gain = (a_k * s + quad[0, 0] * s ** 2)[:, None] \
-            + t[:, None] * lin_ph[None, :] \
-            + (2.0 * s * t)[:, None] * cross_ph[None, :] \
-            + (t ** 2)[:, None] * quad_ph[None, :]
-        flat = int(np.argmax(gain))
-        i, j = divmod(flat, gain.shape[1])
-        if gain[i, j] > best[0]:
-            best = (float(gain[i, j]), float(th[i]), float(ph[j]))
-        th_span /= 6.0
-        ph_span /= 6.0
-        th = np.linspace(best[1] - th_span / 2, best[1] + th_span / 2, 25)
-        ph = np.linspace(best[2] - ph_span / 2, best[2] + ph_span / 2, 25)
-    return best
+    """Maximize the move polynomial exactly; returns (gain, theta, phi).
+
+    The gain is a.x + x^T b x with x = (sin^2 t, sin t cos t cos f,
+    sin t cos t sin f).  Substituting x = (e_0 + J n)/2, J = diag(-1, 1, 1),
+    with the unit vector n = (cos 2t, sin 2t cos f, sin 2t sin f) turns it
+    into const + g.n + n^T M n over the sphere S^2, M = J b J / 4,
+    g = J (a + b e_0) / 2.  With M = V diag(mu) V^T the global maximizer is
+    n = V y, y_i = gamma_i / (lam - mu_i), gamma = V^T g / 2, where
+    lam >= mu_max solves the secular equation ||y(lam)|| = 1; Newton on
+    1/||y|| - 1, which is concave and increasing in lam, is safeguarded by
+    bisection.  In the hard case gamma has no component along the top
+    eigenvector and ||y(mu_max)|| <= 1: then lam = mu_max and the rest of
+    the unit length goes along the top eigenvector.  A non-positive gain
+    returns (0, 0, 0), the identity move.
+    """
+    a = np.asarray(lin, dtype=float)
+    b = np.asarray(quad, dtype=float)
+    mu, V = np.linalg.eigh(b * _JJ / 4.0)
+    if V[np.argmax(np.abs(V[:, 2])), 2] < 0.0:
+        V[:, 2] = -V[:, 2]  # a fixed sign makes the hard case reproducible
+    # the 3-vector algebra below runs on Python floats, which beats numpy
+    # calls at this size
+    gamma = (V.T @ (_J * (a + b[:, 0])) / 4.0).tolist()  # V^T g / 2
+    d = (float(mu[2] - mu[0]), float(mu[2] - mu[1]), 0.0)  # distance below mu_max
+
+    def solve(t: float) -> tuple[list[float], float]:
+        # y(t) = gamma / (t + d), where a zero denominator only meets a zero numerator
+        y = [gi / (t + di) if t + di > 0.0 else 0.0 for gi, di in zip(gamma, d)]
+        return y, sqrt(sum(yi * yi for yi in y))
+
+    # the root t = lam - mu_max lies in [max(0, |gamma_i| - d_i), ||gamma||]
+    lo = max(0.0, *(abs(gi) - di for gi, di in zip(gamma, d)))
+    hi = max(lo, sqrt(sum(gi * gi for gi in gamma)))
+    y, norm = solve(lo)
+    if lo == 0.0 and norm <= 1.0:
+        # hard case: the rest of the unit length goes along the top eigenvector
+        y[2] = sqrt(max(0.0, 1.0 - norm * norm))
+    else:
+        t = lo
+        for _ in range(100):
+            f = 1.0 / norm - 1.0
+            if f >= 0.0:
+                hi = t
+            else:
+                lo = t
+            if abs(f) <= 1e-15:
+                break
+            slope = sum(yi * yi / (t + di) for yi, di in zip(y, d) if yi) / norm ** 3
+            step = t - f / slope
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if step == t:
+                break
+            t = step
+            y, norm = solve(t)
+    n0, n1, n2 = (sum(vi * yi for vi, yi in zip(row, y)) for row in V.tolist())
+    theta = 0.5 * atan2(hypot(n1, n2), n0)
+    ph = atan2(n2, n1)
+    st, ct = sin(theta), cos(theta)
+    x = (st * st, st * ct * cos(ph), st * ct * sin(ph))
+    gain = sum(xi * (ai + sum(bij * xj for bij, xj in zip(row, x)))
+               for xi, ai, row in zip(x, a.tolist(), b.tolist()))
+    if not gain > 0.0:
+        return 0.0, 0.0, 0.0
+    return gain, theta, ph
 
 
 def _ascend(obj: _SplitObjective, U0: np.ndarray, config: OptimizerConfig) -> tuple[float, np.ndarray, bool]:
@@ -386,6 +432,14 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None,
                                      "t_abe": t_abe.value, "coefficient": coeff})
 
 
+def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
+    """(d^4 + 1 - 2 d^2 P_AB) / g_ABE from the AB purity P_AB = Tr(rho_AB^2)."""
+    if d_e < 2:
+        raise ValueError(f"invalid environment dimension {d_e}: need d_E >= 2")
+    g_abe = (d * d - 1) * (d_e - 1)
+    return float((d ** 4 + 1 - 2.0 * d * d * p_ab) / g_abe)
+
+
 def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     """Upper bound on T(AB|E) from the AB marginal alone (d_A = d_B = d).
 
@@ -394,19 +448,15 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     """
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for eve bound: need two equal sites, got {state_ab.dims}")
-    if d_e < 2:
-        raise ValueError(f"invalid environment dimension {d_e}: need d_E >= 2")
-    d = state_ab.dims[0]
-    g_abe = (d * d - 1) * (d_e - 1)
-    return float((d ** 4 + 1 - 2.0 * d * d * _marginal_purity(state_ab, (0, 1))) / g_abe)
+    return _eve_bound(state_ab.dims[0], d_e, _marginal_purity(state_ab, (0, 1)))
 
 
 def check_thm1_ii(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
     """T(AB|E) cannot exceed the bound computed from the AB marginal."""
     _require_three_sites(state, "marginal bound check", equal_first_pair=True)
-    d_e = state.dims[2]
     t_abe = correlation_monotone(state, ((0, 1), (2,)))
-    bound = eve_bound(partial_trace(state, (0, 1)), d_e)
+    # P_AB comes from the state's own purity table, which T(AB|E) just filled
+    bound = _eve_bound(state.dims[0], state.dims[2], _marginal_purity(state, (0, 1)))
     return report_from_sides("thm1ii", t_abe.value, bound, state_ref=state_ref,
                              extras={"t_abe": t_abe.value, "g": t_abe.g})
 

@@ -12,9 +12,9 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        correlation_monotone, eve_bound, excess, from_matrix,
                        lemma6_bounds, max_entangled, maximally_mixed,
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
-from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
-                                   split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import _SplitObjective
+from bloch_lab.correlation import (_fsum_purities, bases_with_split, bloch_coefficients,
+                                   cross_norm_sum, split_sector_norms, tensor_norm_sq)
+from bloch_lab.monotone import _best_move, _haar_unitary, _SplitObjective
 
 
 def hs_state(dims, seed, index=0):
@@ -112,6 +112,77 @@ def test_objective_small_site_second():
 
 
 # ---------------------------------------------------------------------------
+# Givens move model and its exact maximizer
+
+
+def _random_moves(dims, seed, n_states=8):
+    """(objective, U, p, q) for every column pair of Haar U on HS states."""
+    rng = np.random.default_rng(seed)
+    for i in range(n_states):
+        st = hs_state(dims, seed=seed, index=i)
+        obj = _SplitObjective(st.matrix, dims[0], dims[1], small_first=True)
+        U = _haar_unitary(dims[1], rng)
+        for p in range(dims[0]):
+            for q in range(dims[0], dims[1]):
+                yield obj, U, p, q
+
+
+def _move_forms_at(obj, U, p, q):
+    P = U[:, :obj.c] @ U[:, :obj.c].conj().T
+    phi, _ = obj.gradient(P)
+    return P, obj.move_forms(phi, U[:, p], U[:, q])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
+def test_move_gain_equals_objective_change(dims):
+    for obj, U, p, q in _random_moves(dims, seed=83):
+        P, (lin, quad) = _move_forms_at(obj, U, p, q)
+        gain, theta, ph = _best_move(lin, quad)
+        # u' = cos(theta) u + e^{i ph} sin(theta) v, v' orthogonal to it
+        e = np.exp(1j * ph)
+        moved = U.copy()
+        moved[:, p] = np.cos(theta) * U[:, p] + e * np.sin(theta) * U[:, q]
+        moved[:, q] = -np.conj(e) * np.sin(theta) * U[:, p] + np.cos(theta) * U[:, q]
+        P_new = moved[:, :obj.c] @ moved[:, :obj.c].conj().T
+        assert gain == pytest.approx(obj.value(P_new) - obj.value(P), abs=1e-12)
+
+
+def _move_polynomial(lin, quad, theta, ph):
+    s, t = np.sin(theta) ** 2, np.sin(theta) * np.cos(theta)
+    x = np.stack(np.broadcast_arrays(s, t * np.cos(ph), t * np.sin(ph)), axis=-1)
+    return x @ np.asarray(lin) + np.einsum("...i,ij,...j->...", x, quad, x)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
+def test_best_move_beats_dense_grid(dims):
+    theta = np.linspace(0.0, np.pi, 181)[:, None]
+    ph = np.linspace(0.0, 2.0 * np.pi, 361)[None, :]
+    for obj, U, p, q in _random_moves(dims, seed=89):
+        _, (lin, quad) = _move_forms_at(obj, U, p, q)
+        gain, th, f = _best_move(lin, quad)
+        assert gain >= _move_polynomial(lin, quad, theta, ph).max() - 1e-12
+        assert gain == pytest.approx(_move_polynomial(lin, quad, th, f), abs=1e-14)
+        # an exact maximizer is a stationary point, which a grid search is not
+        h = 1e-5
+        d_th = _move_polynomial(lin, quad, th + h, f) - _move_polynomial(lin, quad, th - h, f)
+        d_ph = _move_polynomial(lin, quad, th, f + h) - _move_polynomial(lin, quad, th, f - h)
+        assert abs(d_th) / (2 * h) <= 1e-8 and abs(d_ph) / (2 * h) <= 1e-8
+
+
+def test_best_move_hard_case():
+    # zero linear term and an off-axis top eigenvector: the secular equation
+    # has no root above the top eigenvalue
+    gain, theta, ph = _best_move((0.0, 0.0, 0.0), np.diag([0.0, 1.0, 0.5]))
+    assert gain == pytest.approx(0.25, abs=1e-15)
+    assert theta == pytest.approx(np.pi / 4, abs=1e-12)
+    assert ph == pytest.approx(0.0, abs=1e-12)
+
+
+def test_best_move_zero_form_is_identity():
+    assert _best_move((0.0, 0.0, 0.0), np.zeros((3, 3))) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # optimizer against the pure-state oracle
 
 
@@ -150,6 +221,22 @@ def test_split_monotone_invariant_under_site_swap(dims):
     direct = correlation_monotone(s, ((0,), (1,)), config=cfg)
     mirrored = correlation_monotone(swapped, ((0,), (1,)), config=cfg)
     assert mirrored.value == pytest.approx(direct.value, abs=1e-10)
+
+
+# correlation_monotone(hs_state(dims, seed=71, index=i), ((0,), (1,))) at
+# OptimizerConfig(restarts=8, seed=0) under the earlier grid-search move
+FROZEN_GRID_VALUES = {
+    (2, 3): (0.10518486009274967, 0.10408196443270316, 0.15920456899092744, 0.07295452721338515),
+    (2, 4): (0.0479572124782299, 0.07855479088515664, 0.07246779528449329, 0.07428241693649092),
+}
+
+
+@pytest.mark.parametrize("dims", sorted(FROZEN_GRID_VALUES))
+def test_mixed_split_values_not_below_grid_search(dims):
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for i, old in enumerate(FROZEN_GRID_VALUES[dims]):
+        value = correlation_monotone(hs_state(dims, seed=71, index=i), ((0,), (1,)), config=cfg).value
+        assert old - 1e-10 <= value <= 1.0, (dims, i)
 
 
 def test_mixed_split_value_is_flagged_heuristic():
@@ -257,6 +344,16 @@ def test_thm1_ii_on_bell_with_idle_environment():
     assert rep.lhs == pytest.approx(0.0, abs=1e-12)
     assert rep.rhs == pytest.approx(3.0, abs=1e-10)
     assert rep.holds
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 2)])
+def test_thm1_ii_bound_equals_eve_bound_of_marginal(dims):
+    # the bound reads P_AB from the state's table, in both evaluations
+    for i in range(3):
+        s = hs_state(dims, seed=97, index=i)
+        assert check_thm1_ii(s).rhs == eve_bound(partial_trace(s, (0, 1)), dims[2])
+        with _fsum_purities():
+            assert check_thm1_ii(s).rhs == eve_bound(partial_trace(s, (0, 1)), dims[2])
 
 
 def test_eve_bound_on_maximally_mixed_pair():
