@@ -18,6 +18,12 @@ correlation mass is
   x = (e_0 + J n)/2 with J = diag(-1, 1, 1), maximized by one 3x3
   eigendecomposition and a secular-equation solve (with the trust-region
   "hard case" when the linear term misses the top eigenvector).
+  All restarts ascend in lock-step as one stacked batch: their unitaries
+  form an (R, d, d) array, and each Givens pair of a sweep is one batched
+  pass (gradient, move forms, move solve, column update) over the restarts
+  still live.  A restart whose sweep gains less than the tolerance freezes
+  and leaves the batch, so its value and unitary are those of a run of
+  that restart alone.
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -28,7 +34,8 @@ The reported value divides the raw mass by a normalization g chosen by a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, cos, hypot, prod, sin, sqrt
+from math import isfinite, prod
+from numbers import Integral
 
 import numpy as np
 
@@ -81,6 +88,14 @@ class OptimizerConfig:
     tol: float = 1e-10
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("restarts", "max_sweeps"):
+            n = getattr(self, name)
+            if not isinstance(n, Integral) or n < 1:
+                raise ValueError(f"invalid {name} {n!r}: need an integer >= 1")
+        if not (isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"invalid tol {self.tol!r}: need a finite number >= 0")
+
 
 @dataclass
 class MonotoneResult:
@@ -91,7 +106,10 @@ class MonotoneResult:
     ``delta`` is the weighted coefficient mass discarded outside that
     subspace; it vanishes at the optimum for pure states.  ``heuristic_max``
     marks optimized values on mixed states, where coordinate ascent only
-    certifies a lower bound on the true maximum.
+    certifies a lower bound on the true maximum.  ``sweeps`` counts the
+    lock-step sweeps the optimizer ran and ``restart_values`` holds each
+    restart's final objective value, in restart order; they stay 0 and ()
+    when no optimization ran.
     """
 
     value: float
@@ -103,6 +121,8 @@ class MonotoneResult:
     heuristic_max: bool
     unitary: np.ndarray | None
     partition: tuple[tuple[int, ...], tuple[int, ...]]
+    sweeps: int = 0
+    restart_values: tuple[float, ...] = ()
 
 
 def _check_partition(state: DensityMatrix, partition):
@@ -133,7 +153,8 @@ def _check_partition(state: DensityMatrix, partition):
 #          + Tr(rho_B P)^2,          N = Tr_B(rho (1xP)),
 #
 # which is quadratic in P, so a Givens move on two columns of U changes Q
-# by a closed-form trigonometric polynomial in the move angles.
+# by a closed-form trigonometric polynomial in the move angles.  Every step
+# below acts on a stack of restarts at once: U is an (R, d_B, d_B) array.
 
 # generators (K, E1, E2) of a Givens move in the two-column frame
 _GENS = np.array([[[-1.0, 0.0], [0.0, 1.0]],
@@ -153,13 +174,21 @@ class _SplitObjective:
         shaped = (matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3) if small_first
                   else matrix.reshape(dB, dA, dB, dA).transpose(1, 3, 0, 2))
         # R4[a, a', b, b'] = rho[(a b), (a' b')] with a on the small site
-        self.R4 = np.ascontiguousarray(shaped)
-        self.rho_B = np.einsum("aabc->bc", self.R4)
+        self.R4 = R4 = np.ascontiguousarray(shaped)
+        self.rho_B = np.einsum("aabc->bc", R4)
         self.dA = dA
         self.dB = dB
         self.c = dA
+        # the blocks L_k = R4[y, x], k = (x, y), stacked row-wise so that
+        # _L_rows @ V holds every L_k V; rho is Hermitian, so R4[x, y] = L_k^dag
+        L = R4.transpose(1, 0, 2, 3).reshape(dA * dA, dB, dB)
+        self._L_rows = L.reshape(dA * dA * dB, dB)
+        # Tr(L_k X) = vec(X) . _trace_L[:, k], and sum_k s_k L_k^dag = s @ _L_dag
+        self._trace_L = L.transpose(2, 1, 0).reshape(dB * dB, dA * dA)
+        self._L_dag = L.conj().transpose(0, 2, 1).reshape(dA * dA, dB * dB)
 
     def value(self, P: np.ndarray) -> float:
+        """Q(P) for one projector, straight from its definition (the tests' reference)."""
         R4, rho_B, c, dA = self.R4, self.rho_B, self.c, self.dA
         t1 = np.einsum("abmn,np,bapq,qm->", R4, P, R4, P).real
         N = np.einsum("abmn,nm->ab", R4, P)
@@ -169,49 +198,59 @@ class _SplitObjective:
         t4 = np.trace(BP).real ** 2
         return float(c * dA * t1 - dA * t2 - c * t3 + t4)
 
-    def gradient(self, P: np.ndarray) -> tuple[np.ndarray, float]:
-        """Hermitian Phi with dQ = Tr(Phi dP); also returns Q(P) = Tr(Phi P)/2."""
-        R4, rho_B, c, dA = self.R4, self.rho_B, self.c, self.dA
-        phi1 = np.einsum("yxmp,pq,xyqn->mn", R4, P, R4)
-        NP = np.einsum("abmn,nm->ab", R4, P)
-        phi2 = np.einsum("yx,xymp->mp", NP, R4)
-        phi3 = rho_B @ P @ rho_B
-        phi4 = np.trace(rho_B @ P).real * rho_B
-        phi = 2.0 * (c * dA * phi1 - dA * phi2 - c * phi3 + phi4)
-        q0 = 0.5 * np.trace(phi @ P).real
-        return phi, float(q0)
+    def gradient(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hermitian Phi with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
 
-    def move_forms(self, phi: np.ndarray, u: np.ndarray, v: np.ndarray):
-        """Linear and quadratic coefficients of a Givens move on columns (u, v).
-
-        The move changes P by W (x_0 K + x_1 E1 + x_2 E2) W^dag with W = [u v],
-        so its gain is a.x + x^T b x with a_k = Tr(Phi~ G_k) and b_kl the
-        objective's bilinear form on (G_k, G_l), all in the W frame (~).
-        Each term of that form is a cross contraction Tr(A G_k B G_l) or a
-        product Tr(A G_k) Tr(B G_l) of a block pair: t1 and t2 of
-        sum_xy R~[x,y] (x) R~[y,x], t3 and t4 of rho_B~ (x) rho_B~.
+        Also returns Q(P) = Tr(Phi P)/2, since Q is homogeneous of degree 2.
+        With L_k as above the four terms are sum_k (L_k V)(L_k V)^dag,
+        sum_k Tr(L_k P) L_k^dag, rho_B P rho_B and Tr(rho_B P) rho_B.
         """
-        W = np.array((u, v)).T
-        Wh = W.conj().T
-        a = ((Wh @ phi @ W).reshape(4) @ _TRACE_GEN).real
-        Rt = Wh @ self.R4 @ W
-        pair_r = Rt.reshape(-1, 4).T @ Rt.transpose(1, 0, 2, 3).reshape(-1, 4)
-        rho_t = (Wh @ self.rho_B @ W).reshape(4)
-        pair_rho = np.outer(rho_t, rho_t)
-        c, dA = self.c, self.dA
-        b = ((c * dA * pair_r - c * pair_rho).reshape(16) @ _CROSS_GEN
-             + (pair_rho - dA * pair_r).reshape(16) @ _PRODUCT_GEN)
-        return a, b.real.reshape(3, 3)
+        c, dA, dB, rho_B = self.c, self.dA, self.dB, self.rho_B
+        R = U.shape[0]
+        V = U[:, :, :c]
+        P = V @ V.conj().swapaxes(1, 2)
+        X = (self._L_rows @ V).reshape(R, dA * dA, dB, c).swapaxes(1, 2).reshape(R, dB, -1)
+        phi1 = X @ X.conj().swapaxes(1, 2)
+        phi2 = ((P.reshape(R, 1, dB * dB) @ self._trace_L) @ self._L_dag).reshape(R, dB, dB)
+        phi3 = rho_B @ P @ rho_B
+        t4 = np.einsum("ij,rji->r", rho_B, P).real
+        phi = 2.0 * (c * dA * phi1 - dA * phi2 - c * phi3 + t4[:, None, None] * rho_B)
+        return phi, 0.5 * np.einsum("rij,rji->r", phi, P).real
+
+    def move_forms(self, phi: np.ndarray, U: np.ndarray, p: int, q: int):
+        """Linear and quadratic coefficients of a Givens move on columns (p, q).
+
+        The move changes P by W (x_0 K + x_1 E1 + x_2 E2) W^dag with
+        W = U[:, :, (p, q)], so its gain is a.x + x^T b x with
+        a_k = Tr(Phi~ G_k) and b_kl the objective's bilinear form on
+        (G_k, G_l), all in the W frame (~).  Each term of that form is a
+        cross contraction Tr(A G_k B G_l) or a product Tr(A G_k) Tr(B G_l)
+        of a block pair: t1 and t2 of sum_k L~_k^dag (x) L~_k, t3 and t4 of
+        rho_B~ (x) rho_B~.  Returns (a, b) stacked over restarts.
+        """
+        c, dA, dB = self.c, self.dA, self.dB
+        R = U.shape[0]
+        W = U[:, :, (p, q)]
+        Wh = W.conj().swapaxes(1, 2)
+        a = ((Wh @ phi @ W).reshape(R, 4) @ _TRACE_GEN).real
+        Lt = Wh[:, None] @ (self._L_rows @ W).reshape(R, dA * dA, dB, 2)
+        pair_r = (Lt.conj().swapaxes(2, 3).reshape(R, -1, 4).swapaxes(1, 2)
+                  @ Lt.reshape(R, -1, 4))
+        rho_t = (Wh @ self.rho_B @ W).reshape(R, 4)
+        pair_rho = rho_t[:, :, None] * rho_t[:, None, :]
+        b = ((c * dA * pair_r - c * pair_rho).reshape(R, 1, 16) @ _CROSS_GEN
+             + (pair_rho - dA * pair_r).reshape(R, 1, 16) @ _PRODUCT_GEN)
+        return a, b.real.reshape(R, 3, 3)
 
 
 _J = np.array([-1.0, 1.0, 1.0])
 _JJ = np.outer(_J, _J)
 
 
-def _best_move(lin, quad) -> tuple[float, float, float]:
-    """Maximize the move polynomial exactly; returns (gain, theta, phi).
+def _best_moves(lin, quad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize a stack of move polynomials exactly; returns (gain, theta, phi).
 
-    The gain is a.x + x^T b x with x = (sin^2 t, sin t cos t cos f,
+    Each gain is a.x + x^T b x with x = (sin^2 t, sin t cos t cos f,
     sin t cos t sin f).  Substituting x = (e_0 + J n)/2, J = diag(-1, 1, 1),
     with the unit vector n = (cos 2t, sin 2t cos f, sin 2t sin f) turns it
     into const + g.n + n^T M n over the sphere S^2, M = J b J / 4,
@@ -222,88 +261,60 @@ def _best_move(lin, quad) -> tuple[float, float, float]:
     bisection.  In the hard case gamma has no component along the top
     eigenvector and ||y(mu_max)|| <= 1: then lam = mu_max and the rest of
     the unit length goes along the top eigenvector.  A non-positive gain
-    returns (0, 0, 0), the identity move.
+    gives (0, 0, 0), the identity move.  Every row is solved on its own:
+    no result depends on the other rows of the stack.
     """
     a = np.asarray(lin, dtype=float)
     b = np.asarray(quad, dtype=float)
     mu, V = np.linalg.eigh(b * _JJ / 4.0)
-    if V[np.argmax(np.abs(V[:, 2])), 2] < 0.0:
-        V[:, 2] = -V[:, 2]  # a fixed sign makes the hard case reproducible
-    # the 3-vector algebra below runs on Python floats, which beats numpy
-    # calls at this size
-    gamma = (V.T @ (_J * (a + b[:, 0])) / 4.0).tolist()  # V^T g / 2
-    d = (float(mu[2] - mu[0]), float(mu[2] - mu[1]), 0.0)  # distance below mu_max
+    top = V[:, :, 2]
+    # a fixed sign makes the hard case reproducible
+    top[top[np.arange(len(top)), np.argmax(np.abs(top), axis=1)] < 0.0] *= -1.0
+    gamma = (V.swapaxes(1, 2) @ (_J * (a + b[:, :, 0]))[:, :, None])[:, :, 0] / 4.0
+    d = mu[:, 2:] - mu  # distance below mu_max, exactly 0 for the top one
 
-    def solve(t: float) -> tuple[list[float], float]:
+    def solve(t, gamma, d):
         # y(t) = gamma / (t + d), where a zero denominator only meets a zero numerator
-        y = [gi / (t + di) if t + di > 0.0 else 0.0 for gi, di in zip(gamma, d)]
-        return y, sqrt(sum(yi * yi for yi in y))
+        den = t[:, None] + d
+        pos = den > 0.0
+        den = np.where(pos, den, 1.0)
+        y = np.where(pos, gamma / den, 0.0)
+        return y, np.sqrt((y * y).sum(axis=1)), den
 
     # the root t = lam - mu_max lies in [max(0, |gamma_i| - d_i), ||gamma||]
-    lo = max(0.0, *(abs(gi) - di for gi, di in zip(gamma, d)))
-    hi = max(lo, sqrt(sum(gi * gi for gi in gamma)))
-    y, norm = solve(lo)
-    if lo == 0.0 and norm <= 1.0:
-        # hard case: the rest of the unit length goes along the top eigenvector
-        y[2] = sqrt(max(0.0, 1.0 - norm * norm))
-    else:
-        t = lo
+    lo = np.maximum(0.0, (np.abs(gamma) - d).max(axis=1))
+    y, norm, _ = solve(lo, gamma, d)
+    hard = (lo == 0.0) & (norm <= 1.0)
+    # hard case: the rest of the unit length goes along the top eigenvector
+    y[hard, 2] = np.sqrt(np.maximum(0.0, 1.0 - norm[hard] ** 2))
+    sel = np.flatnonzero(~hard)
+    if sel.size:
+        gamma, d, lo = gamma[sel], d[sel], lo[sel]
+        t, hi = lo, np.maximum(lo, np.sqrt((gamma * gamma).sum(axis=1)))
+        ys, norm, den = solve(t, gamma, d)
+        active = np.ones(sel.size, dtype=bool)
         for _ in range(100):
             f = 1.0 / norm - 1.0
-            if f >= 0.0:
-                hi = t
-            else:
-                lo = t
-            if abs(f) <= 1e-15:
-                break
-            slope = sum(yi * yi / (t + di) for yi, di in zip(y, d) if yi) / norm ** 3
+            hi = np.where(f >= 0.0, t, hi)
+            lo = np.where(f < 0.0, t, lo)
+            slope = (ys * ys / den).sum(axis=1) / norm ** 3
             step = t - f / slope
-            if not lo < step < hi:
-                step = 0.5 * (lo + hi)
-            if step == t:
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            active &= (np.abs(f) > 1e-15) & (step != t)
+            if not active.any():
                 break
-            t = step
-            y, norm = solve(t)
-    n0, n1, n2 = (sum(vi * yi for vi, yi in zip(row, y)) for row in V.tolist())
-    theta = 0.5 * atan2(hypot(n1, n2), n0)
-    ph = atan2(n2, n1)
-    st, ct = sin(theta), cos(theta)
-    x = (st * st, st * ct * cos(ph), st * ct * sin(ph))
-    gain = sum(xi * (ai + sum(bij * xj for bij, xj in zip(row, x)))
-               for xi, ai, row in zip(x, a.tolist(), b.tolist()))
-    if not gain > 0.0:
-        return 0.0, 0.0, 0.0
-    return gain, theta, ph
-
-
-def _ascend(obj: _SplitObjective, U0: np.ndarray, config: OptimizerConfig) -> tuple[float, np.ndarray, bool]:
-    c, dB = obj.c, obj.dB
-    U = U0.copy()
-    P = U[:, :c] @ U[:, :c].conj().T
-    prev = obj.value(P)
-    converged = False
-    for _ in range(config.max_sweeps):
-        for p in range(c):
-            for q in range(c, dB):
-                phi, _ = obj.gradient(P)
-                u, v = U[:, p], U[:, q]
-                lin, quad = obj.move_forms(phi, u, v)
-                gain, theta, ph = _best_move(lin, quad)
-                if gain <= 0.0:
-                    continue
-                ct, st = np.cos(theta), np.sin(theta)
-                e = np.exp(1j * ph)
-                new_u = ct * u + e * st * v
-                new_v = -np.conj(e) * st * u + ct * v
-                U[:, p], U[:, q] = new_u, new_v
-                P = U[:, :c] @ U[:, :c].conj().T
-        cur = obj.value(P)
-        if cur - prev < config.tol:
-            converged = True
-            prev = max(cur, prev)
-            break
-        prev = cur
-    return float(prev), U, converged
+            # a finished row keeps its t, so solving it again reproduces its y
+            t = np.where(active, step, t)
+            ys, norm, den = solve(t, gamma, d)
+        y[sel] = ys
+    n = (V @ y[:, :, None])[:, :, 0]
+    theta = 0.5 * np.arctan2(np.hypot(n[:, 1], n[:, 2]), n[:, 0])
+    ph = np.arctan2(n[:, 2], n[:, 1])
+    st, ct = np.sin(theta), np.cos(theta)
+    x = np.stack((st * st, st * ct * np.cos(ph), st * ct * np.sin(ph)), axis=1)
+    gain = (x * (a + (b @ x[:, :, None])[:, :, 0])).sum(axis=1)
+    move = gain > 0.0
+    return np.where(move, gain, 0.0), np.where(move, theta, 0.0), np.where(move, ph, 0.0)
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -313,23 +324,55 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))[None, :]
 
 
-def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[float, np.ndarray, bool, int]:
+def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    """Ascend all restarts in lock-step; returns (values, best U, converged, sweeps).
+
+    Restart 0 starts from the eigenvectors of rho_B in descending order,
+    exact for pure states, where the top-c eigenvectors span the Schmidt
+    subspace; restart r >= 1 starts from a Haar unitary seeded by
+    derive_seed(config.seed, r).  A sweep makes one Givens move on every
+    column pair (p, q), p < c <= q, for all live restarts at once.  A
+    restart whose sweep gained less than ``tol`` freezes and leaves the
+    batch; its value and U are what a run of that restart alone gives.  Q
+    at the end of a sweep is read from the gradient that also serves the
+    next sweep's first move.  ``values`` holds every restart's final Q in
+    restart order; the winner is the first restart with the largest one.
+    """
+    c, dB, R = obj.c, obj.dB, config.restarts
     w, vecs = np.linalg.eigh(obj.rho_B)
-    # restart 0: columns ordered by descending eigenvalue of rho_B;
-    # exact for pure states, where the top-c eigenvectors span the Schmidt subspace
-    inits = [vecs[:, np.argsort(-w)]]
-    best_q, best_u, best_conv = -np.inf, None, False
-    restarts = max(1, int(config.restarts))
-    for r in range(restarts):
-        if r < len(inits):
-            U0 = inits[r]
-        else:
-            rng = np.random.Generator(np.random.PCG64(derive_seed(config.seed, r)))
-            U0 = _haar_unitary(obj.dB, rng)
-        q, U, conv = _ascend(obj, U0, config)
-        if q > best_q:
-            best_q, best_u, best_conv = q, U, conv
-    return best_q, best_u, best_conv, restarts
+    U = np.empty((R, dB, dB), dtype=complex)
+    U[0] = vecs[:, np.argsort(-w)]
+    for r in range(1, R):
+        U[r] = _haar_unitary(dB, np.random.Generator(np.random.PCG64(derive_seed(config.seed, r))))
+    values, final_U = np.empty(R), np.empty_like(U)
+    converged = np.zeros(R, dtype=bool)
+    live = np.arange(R)
+    pairs = [(p, q) for p in range(c) for q in range(c, dB)]
+    phi, prev = obj.gradient(U)
+    sweeps = 0
+    while live.size and sweeps < config.max_sweeps:
+        sweeps += 1
+        for k, (p, q) in enumerate(pairs):
+            if k:
+                phi, _ = obj.gradient(U)
+            _, theta, ph = _best_moves(*obj.move_forms(phi, U, p, q))
+            # a declined move has theta = ph = 0 and leaves the columns exactly as they are
+            ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
+            e = np.exp(1j * ph)[:, None]
+            u, v = U[:, :, p], U[:, :, q]
+            U[:, :, p], U[:, :, q] = ct * u + e * st * v, -np.conj(e) * st * u + ct * v
+        phi, cur = obj.gradient(U)
+        done = cur - prev < config.tol
+        values[live[done]] = np.maximum(cur, prev)[done]
+        final_U[live[done]] = U[done]
+        converged[live[done]] = True
+        keep = ~done
+        live, U, phi, prev = live[keep], U[keep], phi[keep], cur[keep]
+    # restarts still live ran out of sweeps
+    values[live] = prev
+    final_U[live] = U
+    best = int(np.argmax(values))
+    return values, final_U[best], bool(converged[best]), sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +413,7 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     d_large = dims[large_site]
     obj = _SplitObjective(state.matrix, d_small, d_large, small_first)
     config = config or OptimizerConfig()
-    _, U, converged, restarts = _optimize_split(obj, config)
+    values, U, converged, sweeps = _optimize_split(obj, config)
 
     # evaluate the reported value from actual split coefficients at U
     rot = np.kron(U, np.eye(d_small)) if not small_first else np.kron(np.eye(d_small), U)
@@ -380,9 +423,10 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     raw = norms.low_joint
     high_mass = norms.c0p + norms.high_canonical + norms.high_split + norms.high_joint
     delta = (d_small / (d_large - d_small)) * high_mass
-    return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged, restarts=restarts,
-                          delta=float(delta), heuristic_max=not state.is_pure(),
-                          unitary=U, partition=(omega, sigma))
+    return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
+                          restarts=config.restarts, delta=float(delta),
+                          heuristic_max=not state.is_pure(), unitary=U, partition=(omega, sigma),
+                          sweeps=sweeps, restart_values=tuple(values.tolist()))
 
 
 def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None = None) -> float:

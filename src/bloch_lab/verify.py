@@ -70,6 +70,14 @@ def make_check_table(dims, restarts: int = 8, q: float = 2.0):
     }
 
 
+def _check_for(name: str, dims, restarts: int):
+    """The callable of one check from ``make_check_table``, by name."""
+    table = make_check_table(dims, restarts=restarts)
+    if name not in table:
+        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
+    return table[name]
+
+
 @dataclass(frozen=True)
 class Campaign:
     """One verification run: ensemble, sample count, and checks to apply."""
@@ -235,8 +243,9 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = 8) -> float:
     """Recompute a check's slack with fsum-reduced marginal purities."""
+    check = _check_for(name, state.dims, restarts)
     with _fsum_purities():
-        return make_check_table(state.dims, restarts=restarts)[name](state).slack
+        return check(state).slack
 
 
 def _dump_counterexample(campaign: Campaign, name: str, index: int,
@@ -281,10 +290,7 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
     of proposals fails to decrease the slack.  Every reported value is a
     genuine evaluation of an explicit state, never an extrapolation.
     """
-    table = make_check_table(state.dims, restarts=restarts)
-    if name not in table:
-        raise ValueError(f"unknown inequality {name!r}")
-    check = table[name]
+    check = _check_for(name, state.dims, restarts)
     cur = state
     cur_slack = check(cur).slack
     initial = cur_slack

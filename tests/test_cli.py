@@ -103,6 +103,18 @@ def test_bad_partition_is_usage_error(capsys, tmp_path):
         assert "partition" in err
 
 
+@pytest.mark.parametrize("restarts", ["0", "-5"])
+def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,3", "--seed", "1", "--out", state_file)
+    for argv in (("monotone", "--state", state_file, "--partition", "A|B"),
+                 ("check", "--state", state_file, "--inequality", "subadd"),
+                 ("verify", "--dims", "2,3", "--samples", "2")):
+        code, out, err = run(capsys, *argv, "--restarts", restarts)
+        assert code == 2, argv
+        assert "restarts" in err and not out, argv
+
+
 def test_verify_clean_run_exits_zero(capsys, tmp_path):
     out_file = str(tmp_path / "report.json")
     code, _, _ = run(capsys, "verify", "--dims", "2,2", "--samples", "10",

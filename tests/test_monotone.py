@@ -14,7 +14,7 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (_fsum_purities, bases_with_split, bloch_coefficients,
                                    cross_norm_sum, split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import _best_move, _haar_unitary, _SplitObjective
+from bloch_lab.monotone import _best_moves, _haar_unitary, _SplitObjective
 
 
 def hs_state(dims, seed, index=0):
@@ -92,9 +92,9 @@ def test_objective_equals_rotated_low_joint_mass(seed):
     sn = split_sector_norms(
         bloch_coefficients(rotated, bases_with_split((2, 4), 1, 2)))
     assert obj.value(proj) == pytest.approx(sn.low_joint, abs=1e-12)
-    phi, q0 = obj.gradient(proj)
-    assert q0 == pytest.approx(obj.value(proj), abs=1e-12)
-    np.testing.assert_allclose(phi, phi.conj().T, atol=1e-12)
+    phi, q0 = obj.gradient(u[None])
+    assert q0[0] == pytest.approx(obj.value(proj), abs=1e-12)
+    np.testing.assert_allclose(phi[0], phi[0].conj().T, atol=1e-12)
 
 
 def test_objective_small_site_second():
@@ -116,33 +116,36 @@ def test_objective_small_site_second():
 
 
 def _random_moves(dims, seed, n_states=8):
-    """(objective, U, p, q) for every column pair of Haar U on HS states."""
+    """Every column-pair move of Haar U on HS states, with its forms stacked.
+
+    Returns ((objective, U, p, q) per move, lin (M, 3), quad (M, 3, 3)).
+    """
     rng = np.random.default_rng(seed)
+    moves, lin, quad = [], [], []
     for i in range(n_states):
         st = hs_state(dims, seed=seed, index=i)
         obj = _SplitObjective(st.matrix, dims[0], dims[1], small_first=True)
         U = _haar_unitary(dims[1], rng)
+        phi, _ = obj.gradient(U[None])
         for p in range(dims[0]):
             for q in range(dims[0], dims[1]):
-                yield obj, U, p, q
-
-
-def _move_forms_at(obj, U, p, q):
-    P = U[:, :obj.c] @ U[:, :obj.c].conj().T
-    phi, _ = obj.gradient(P)
-    return P, obj.move_forms(phi, U[:, p], U[:, q])
+                a, b = obj.move_forms(phi, U[None], p, q)
+                moves.append((obj, U, p, q))
+                lin.append(a[0])
+                quad.append(b[0])
+    return moves, np.array(lin), np.array(quad)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
 def test_move_gain_equals_objective_change(dims):
-    for obj, U, p, q in _random_moves(dims, seed=83):
-        P, (lin, quad) = _move_forms_at(obj, U, p, q)
-        gain, theta, ph = _best_move(lin, quad)
+    moves, lin, quad = _random_moves(dims, seed=83)
+    for (obj, U, p, q), gain, theta, ph in zip(moves, *_best_moves(lin, quad)):
         # u' = cos(theta) u + e^{i ph} sin(theta) v, v' orthogonal to it
         e = np.exp(1j * ph)
         moved = U.copy()
         moved[:, p] = np.cos(theta) * U[:, p] + e * np.sin(theta) * U[:, q]
         moved[:, q] = -np.conj(e) * np.sin(theta) * U[:, p] + np.cos(theta) * U[:, q]
+        P = U[:, :obj.c] @ U[:, :obj.c].conj().T
         P_new = moved[:, :obj.c] @ moved[:, :obj.c].conj().T
         assert gain == pytest.approx(obj.value(P_new) - obj.value(P), abs=1e-12)
 
@@ -157,29 +160,34 @@ def _move_polynomial(lin, quad, theta, ph):
 def test_best_move_beats_dense_grid(dims):
     theta = np.linspace(0.0, np.pi, 181)[:, None]
     ph = np.linspace(0.0, 2.0 * np.pi, 361)[None, :]
-    for obj, U, p, q in _random_moves(dims, seed=89):
-        _, (lin, quad) = _move_forms_at(obj, U, p, q)
-        gain, th, f = _best_move(lin, quad)
-        assert gain >= _move_polynomial(lin, quad, theta, ph).max() - 1e-12
-        assert gain == pytest.approx(_move_polynomial(lin, quad, th, f), abs=1e-14)
+    _, lin, quad = _random_moves(dims, seed=89)
+    for a, b, gain, th, f in zip(lin, quad, *_best_moves(lin, quad)):
+        assert gain >= _move_polynomial(a, b, theta, ph).max() - 1e-12
+        assert gain == pytest.approx(_move_polynomial(a, b, th, f), abs=1e-14)
         # an exact maximizer is a stationary point, which a grid search is not
         h = 1e-5
-        d_th = _move_polynomial(lin, quad, th + h, f) - _move_polynomial(lin, quad, th - h, f)
-        d_ph = _move_polynomial(lin, quad, th, f + h) - _move_polynomial(lin, quad, th, f - h)
+        d_th = _move_polynomial(a, b, th + h, f) - _move_polynomial(a, b, th - h, f)
+        d_ph = _move_polynomial(a, b, th, f + h) - _move_polynomial(a, b, th, f - h)
         assert abs(d_th) / (2 * h) <= 1e-8 and abs(d_ph) / (2 * h) <= 1e-8
 
 
+# zero linear term and an off-axis top eigenvector (the hard case: the
+# secular equation has no root above the top eigenvalue), then the zero form
+EDGE_LIN = np.zeros((2, 3))
+EDGE_QUAD = np.stack((np.diag([0.0, 1.0, 0.5]), np.zeros((3, 3))))
+
+
 def test_best_move_hard_case():
-    # zero linear term and an off-axis top eigenvector: the secular equation
-    # has no root above the top eigenvalue
-    gain, theta, ph = _best_move((0.0, 0.0, 0.0), np.diag([0.0, 1.0, 0.5]))
+    gains, thetas, phs = _best_moves(EDGE_LIN, EDGE_QUAD)
+    gain, theta, ph = gains[0], thetas[0], phs[0]
     assert gain == pytest.approx(0.25, abs=1e-15)
     assert theta == pytest.approx(np.pi / 4, abs=1e-12)
     assert ph == pytest.approx(0.0, abs=1e-12)
 
 
 def test_best_move_zero_form_is_identity():
-    assert _best_move((0.0, 0.0, 0.0), np.zeros((3, 3))) == (0.0, 0.0, 0.0)
+    gains, thetas, phs = _best_moves(EDGE_LIN, EDGE_QUAD)
+    assert (gains[1], thetas[1], phs[1]) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +253,64 @@ def test_mixed_split_value_is_flagged_heuristic():
     assert r.heuristic_max
     assert r.converged
     assert r.value >= -1e-12
+
+
+# correlation_monotone(hs_state(dims, seed=73, index=i), ((0,), (1,))).value at
+# OptimizerConfig(restarts=8, seed=0) under the earlier one-restart-at-a-time ascent
+FROZEN_SEQUENTIAL_VALUES = {
+    (2, 3): (0.08267893754979369, 0.12861823456392207, 0.11565980798461313, 0.1047465336658634),
+    (2, 4): (0.03976880176118472, 0.06142150708059573, 0.05443349491050451, 0.09576763851458049),
+    (3, 4): (0.06247009869549041, 0.045879780838237745, 0.06266338588746256, 0.05095357949759147),
+}
+
+
+@pytest.mark.parametrize("dims", sorted(FROZEN_SEQUENTIAL_VALUES))
+def test_lock_step_values_match_sequential_ascent(dims):
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for i, old in enumerate(FROZEN_SEQUENTIAL_VALUES[dims]):
+        value = correlation_monotone(hs_state(dims, seed=73, index=i), ((0,), (1,)), config=cfg).value
+        assert abs(value - old) <= 1e-10, (dims, i)
+
+
+def test_converged_restart_freezes_as_if_run_alone():
+    # restart 0 starts at the Schmidt subspace of a pure state and converges
+    # in its first sweep, while the Haar restarts keep the batch going
+    s = haar_pure((2, 3), seed=50)
+    batch = correlation_monotone(s, ((0,), (1,)), config=OptimizerConfig(restarts=8, seed=0))
+    alone = correlation_monotone(s, ((0,), (1,)), config=OptimizerConfig(restarts=1, seed=0))
+    assert alone.sweeps == 1 and batch.sweeps > 1
+    assert len(batch.restart_values) == 8 and len(alone.restart_values) == 1
+    assert batch.restart_values[0] == alone.restart_values[0]
+
+
+def test_sweep_budget_exhausted_reports_not_converged():
+    s = hs_state((2, 4), seed=9)
+    r = correlation_monotone(s, ((0,), (1,)), config=OptimizerConfig(restarts=4, seed=0, max_sweeps=1))
+    assert r.sweeps == 1
+    assert not r.converged
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4)])
+def test_best_restart_value_is_reported_raw(dims):
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    for i in range(3):
+        r = correlation_monotone(hs_state(dims, seed=31, index=i), ((0,), (1,)), config=cfg)
+        assert len(r.restart_values) == 4
+        assert r.sweeps >= 1
+        assert max(r.restart_values) == pytest.approx(r.raw, abs=1e-12), (dims, i)
+
+
+def test_closed_path_reports_no_sweeps():
+    r = correlation_monotone(hs_state((2, 2), seed=9), ((0,), (1,)))
+    assert (r.sweeps, r.restart_values) == (0, ())
+
+
+@pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -5}, {"restarts": 2.5},
+                                 {"max_sweeps": 0}, {"tol": -1e-12}, {"tol": float("nan")},
+                                 {"tol": float("inf")}])
+def test_optimizer_config_rejects_bad_settings(bad):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**bad)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,11 @@ def test_precise_slack_matches_standard(name):
             assert precise_slack(name, s, restarts=2) == pytest.approx(std, abs=1e-10), (dims, i)
 
 
+def test_precise_slack_unknown_name():
+    with pytest.raises(ValueError, match="unknown inequality 'nope'; choose from"):
+        precise_slack("nope", maximally_mixed((2, 2)))
+
+
 def test_counterexample_dump_layout(tmp_path):
     c = Campaign(dims=(2, 2), ensemble=hs(3), samples=1, out_dir=str(tmp_path))
     state = random_state((2, 2), hs(3), index=0)
