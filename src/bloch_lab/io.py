@@ -146,6 +146,8 @@ def monotone_to_jsonable(result) -> dict:
         "restarts": result.restarts,
         "delta": result.delta,
         "heuristic_max": result.heuristic_max,
+        "sweeps": result.sweeps,
+        "restart_values": list(result.restart_values),
     }
 
 

@@ -10,20 +10,16 @@ correlation mass is
   it is evaluated from marginal purities, never from a coefficient tensor;
 * two single sites of unequal dimension: the maximum over basis changes on
   the larger site of the doubly-traceless block of coefficients against a
-  split basis with cut equal to the smaller dimension.  The maximum is
-  searched by random-restart coordinate ascent over complex Givens
-  rotations of the larger site's unitary.  Each Givens move is solved
-  exactly: its gain a.x + x^T b x, x = (sin^2 t, sin t cos t cos f,
-  sin t cos t sin f), becomes a quadratic over the unit sphere under
-  x = (e_0 + J n)/2 with J = diag(-1, 1, 1), maximized by one 3x3
-  eigendecomposition and a secular-equation solve (with the trust-region
-  "hard case" when the linear term misses the top eigenvector).
-  All restarts ascend in lock-step as one stacked batch: their unitaries
-  form an (R, d, d) array, and each Givens pair of a sweep is one batched
-  pass (gradient, move forms, move solve, column update) over the restarts
-  still live.  A restart whose sweep gains less than the tolerance freezes
-  and leaves the batch, so its value and unitary are those of a run of
-  that restart alone.
+  split basis with cut equal to the smaller dimension c.  That block's mass
+  is a homogeneous quadratic form Q(P) = vec(P)^T K vec(P) in the rank-c
+  projector P onto the selected subspace, with one d^2 x d^2 matrix K built
+  from the state once per call.  The optimizer and the reported raw mass
+  read K, the discarded mass delta reads Q's first term, and no
+  coefficient tensor is built.
+  The maximum is searched by random-restart coordinate ascent over complex
+  Givens rotations of the larger site's unitary, each move solved exactly
+  (``_best_moves``), with all restarts ascending in lock-step as one
+  stacked batch (``_optimize_split``).
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -39,8 +35,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .correlation import (_marginal_purity, bases_with_split, bloch_coefficients,
-                          split_sector_norms)
+from .correlation import _marginal_purity
 from .errors import NotPureError
 from .reports import SLACK_TOL, InequalityReport, report_from_sides
 from .states import DensityMatrix, derive_seed, partial_trace
@@ -147,100 +142,80 @@ def _check_partition(state: DensityMatrix, partition):
 # split-basis objective and optimizer
 #
 # With P the rank-c projector onto the selected subspace of the larger site
-# B, the doubly-traceless coefficient mass equals
+# B (c = d_A, the smaller dimension), the doubly-traceless coefficient mass
+# equals
 #
-#   Q(P) = c d_A Tr(rho (1xP) rho (1xP)) - d_A Tr(N^2) - c Tr(rho_B P rho_B P)
+#   Q(P) = c^2 Tr(rho (1xP) rho (1xP)) - c Tr(N^2) - c Tr(rho_B P rho_B P)
 #          + Tr(rho_B P)^2,          N = Tr_B(rho (1xP)),
 #
-# which is quadratic in P, so a Givens move on two columns of U changes Q
-# by a closed-form trigonometric polynomial in the move angles.  Every step
-# below acts on a stack of restarts at once: U is an (R, d_B, d_B) array.
+# a homogeneous quadratic form Q(P) = vec(P)^T K vec(P) with one symmetric
+# d_B^2 x d_B^2 matrix K, built once per call.  The gradient, the move forms
+# and the reported raw mass all read K.  Every step below acts on a stack of
+# restarts at once (U is an (R, d_B, d_B) array), and every product with K
+# is taken per restart, so no restart's arithmetic depends on the others.
 
-# generators (K, E1, E2) of a Givens move in the two-column frame
+# generators G_k of a Givens move in the two-column frame
 _GENS = np.array([[[-1.0, 0.0], [0.0, 1.0]],
                   [[0.0, 1.0], [1.0, 0.0]],
                   [[0.0, -1.0j], [1.0j, 0.0]]], dtype=complex)
-# Tr(X G_k) = vec(X) . _TRACE_GEN[:, k]
-_TRACE_GEN = _GENS.transpose(2, 1, 0).reshape(4, 3)
-# for a 2x2-block pair A (x) B flattened to 16 entries, the 3x3 arrays
-# Tr(A G_k B G_l) and Tr(A G_k) Tr(B G_l)
-_CROSS_GEN = np.einsum("kbc,lda->abcdkl", _GENS, _GENS).reshape(16, 9)
-_PRODUCT_GEN = np.einsum("kba,ldc->abcdkl", _GENS, _GENS).reshape(16, 9)
 
 
 class _SplitObjective:
     def __init__(self, matrix: np.ndarray, d_small: int, d_large: int, small_first: bool):
-        dA, dB = d_small, d_large
-        shaped = (matrix.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3) if small_first
-                  else matrix.reshape(dB, dA, dB, dA).transpose(1, 3, 0, 2))
+        c, dB = d_small, d_large
+        shaped = (matrix.reshape(c, dB, c, dB).transpose(0, 2, 1, 3) if small_first
+                  else matrix.reshape(dB, c, dB, c).transpose(1, 3, 0, 2))
         # R4[a, a', b, b'] = rho[(a b), (a' b')] with a on the small site
         self.R4 = R4 = np.ascontiguousarray(shaped)
-        self.rho_B = np.einsum("aabc->bc", R4)
-        self.dA = dA
+        self.rho_B = rho_B = np.einsum("aabc->bc", R4)
+        self.c = c
         self.dB = dB
-        self.c = dA
-        # the blocks L_k = R4[y, x], k = (x, y), stacked row-wise so that
-        # _L_rows @ V holds every L_k V; rho is Hermitian, so R4[x, y] = L_k^dag
-        L = R4.transpose(1, 0, 2, 3).reshape(dA * dA, dB, dB)
-        self._L_rows = L.reshape(dA * dA * dB, dB)
-        # Tr(L_k X) = vec(X) . _trace_L[:, k], and sum_k s_k L_k^dag = s @ _L_dag
-        self._trace_L = L.transpose(2, 1, 0).reshape(dB * dB, dA * dA)
-        self._L_dag = L.conj().transpose(0, 2, 1).reshape(dA * dA, dB * dB)
+        # K[(m, n), (p, q)] pairs P[m, n] with P[p, q], one einsum per term of Q
+        K = (c * c * np.einsum("abmn,bapq->npqm", R4, R4)
+             - c * np.einsum("abmn,bapq->nmqp", R4, R4)
+             - c * np.einsum("ij,kl->jkli", rho_B, rho_B)
+             + np.einsum("ij,kl->jilk", rho_B, rho_B)).reshape(dB * dB, dB * dB)
+        self.K = (K + K.T) / 2.0
+
+    def compressed_purity(self, P: np.ndarray) -> float:
+        """Tr(((1xP) rho (1xP))^2), the first term of Q(P)."""
+        return float(np.einsum("abmn,np,bapq,qm->", self.R4, P, self.R4, P).real)
 
     def value(self, P: np.ndarray) -> float:
         """Q(P) for one projector, straight from its definition (the tests' reference)."""
-        R4, rho_B, c, dA = self.R4, self.rho_B, self.c, self.dA
-        t1 = np.einsum("abmn,np,bapq,qm->", R4, P, R4, P).real
+        R4, rho_B, c = self.R4, self.rho_B, self.c
         N = np.einsum("abmn,nm->ab", R4, P)
         t2 = np.einsum("ab,ba->", N, N).real
         BP = rho_B @ P
         t3 = np.trace(BP @ BP).real
         t4 = np.trace(BP).real ** 2
-        return float(c * dA * t1 - dA * t2 - c * t3 + t4)
+        return float(c * c * self.compressed_purity(P) - c * t2 - c * t3 + t4)
 
     def gradient(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian Phi with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
+        """Phi with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
 
-        Also returns Q(P) = Tr(Phi P)/2, since Q is homogeneous of degree 2.
-        With L_k as above the four terms are sum_k (L_k V)(L_k V)^dag,
-        sum_k Tr(L_k P) L_k^dag, rho_B P rho_B and Tr(rho_B P) rho_B.
+        Phi = 2 reshape(K vec P)^T, and Q(P) = vec(P)^T K vec(P) is
+        returned with it.
         """
-        c, dA, dB, rho_B = self.c, self.dA, self.dB, self.rho_B
-        R = U.shape[0]
-        V = U[:, :, :c]
-        P = V @ V.conj().swapaxes(1, 2)
-        X = (self._L_rows @ V).reshape(R, dA * dA, dB, c).swapaxes(1, 2).reshape(R, dB, -1)
-        phi1 = X @ X.conj().swapaxes(1, 2)
-        phi2 = ((P.reshape(R, 1, dB * dB) @ self._trace_L) @ self._L_dag).reshape(R, dB, dB)
-        phi3 = rho_B @ P @ rho_B
-        t4 = np.einsum("ij,rji->r", rho_B, P).real
-        phi = 2.0 * (c * dA * phi1 - dA * phi2 - c * phi3 + t4[:, None, None] * rho_B)
-        return phi, 0.5 * np.einsum("rij,rji->r", phi, P).real
+        R, dB = U.shape[0], self.dB
+        V = U[:, :, :self.c]
+        p = (V @ V.conj().swapaxes(1, 2)).reshape(R, 1, dB * dB)
+        Kp = p @ self.K
+        return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real
 
     def move_forms(self, phi: np.ndarray, U: np.ndarray, p: int, q: int):
         """Linear and quadratic coefficients of a Givens move on columns (p, q).
 
-        The move changes P by W (x_0 K + x_1 E1 + x_2 E2) W^dag with
+        The move changes P by sum_k x_k T_k, T_k = W G_k W^dag with
         W = U[:, :, (p, q)], so its gain is a.x + x^T b x with
-        a_k = Tr(Phi~ G_k) and b_kl the objective's bilinear form on
-        (G_k, G_l), all in the W frame (~).  Each term of that form is a
-        cross contraction Tr(A G_k B G_l) or a product Tr(A G_k) Tr(B G_l)
-        of a block pair: t1 and t2 of sum_k L~_k^dag (x) L~_k, t3 and t4 of
-        rho_B~ (x) rho_B~.  Returns (a, b) stacked over restarts.
+        a_k = Tr(Phi T_k) and b = T K T^T, T the rows vec(T_k).  Returns
+        (a, b) stacked over restarts.
         """
-        c, dA, dB = self.c, self.dA, self.dB
-        R = U.shape[0]
+        R, n = U.shape[0], self.dB * self.dB
         W = U[:, :, (p, q)]
-        Wh = W.conj().swapaxes(1, 2)
-        a = ((Wh @ phi @ W).reshape(R, 4) @ _TRACE_GEN).real
-        Lt = Wh[:, None] @ (self._L_rows @ W).reshape(R, dA * dA, dB, 2)
-        pair_r = (Lt.conj().swapaxes(2, 3).reshape(R, -1, 4).swapaxes(1, 2)
-                  @ Lt.reshape(R, -1, 4))
-        rho_t = (Wh @ self.rho_B @ W).reshape(R, 4)
-        pair_rho = rho_t[:, :, None] * rho_t[:, None, :]
-        b = ((c * dA * pair_r - c * pair_rho).reshape(R, 1, 16) @ _CROSS_GEN
-             + (pair_rho - dA * pair_r).reshape(R, 1, 16) @ _PRODUCT_GEN)
-        return a, b.real.reshape(R, 3, 3)
+        T = (W[:, None] @ _GENS @ W.conj().swapaxes(1, 2)[:, None]).reshape(R, 3, n)
+        a = (T @ phi.swapaxes(1, 2).reshape(R, n, 1))[:, :, 0].real
+        return a, (T @ self.K @ T.swapaxes(1, 2)).real
 
 
 _J = np.array([-1.0, 1.0, 1.0])
@@ -414,15 +389,11 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     obj = _SplitObjective(state.matrix, d_small, d_large, small_first)
     config = config or OptimizerConfig()
     values, U, converged, sweeps = _optimize_split(obj, config)
-
-    # evaluate the reported value from actual split coefficients at U
-    rot = np.kron(U, np.eye(d_small)) if not small_first else np.kron(np.eye(d_small), U)
-    rotated = DensityMatrix(dims, rot.conj().T @ state.matrix @ rot)
-    bases = bases_with_split(dims, large_site, d_small)
-    norms = split_sector_norms(bloch_coefficients(rotated, bases))
-    raw = norms.low_joint
-    high_mass = norms.c0p + norms.high_canonical + norms.high_split + norms.high_joint
-    delta = (d_small / (d_large - d_small)) * high_mass
+    raw = float(values.max())
+    # (c/(d_B - c)) times the split-basis mass outside the low joint block,
+    # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
+    V = U[:, :d_small]
+    delta = d_small * d_small * (state.purity() - obj.compressed_purity(V @ V.conj().T))
     return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
                           restarts=config.restarts, delta=float(delta),
                           heuristic_max=not state.is_pure(), unitary=U, partition=(omega, sigma),

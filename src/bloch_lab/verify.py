@@ -145,15 +145,20 @@ class CampaignReport:
 
 
 def resolve_threads(explicit: int | None = None) -> int:
+    """Worker count: ``explicit``, else BLOCH_LAB_THREADS, else 1; below 1 is an error."""
     if explicit is not None:
-        return max(1, int(explicit))
-    env = os.environ.get("BLOCH_LAB_THREADS")
-    if env:
+        n, source = int(explicit), "thread count"
+    else:
+        env = os.environ.get("BLOCH_LAB_THREADS")
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            n, source = int(env), "BLOCH_LAB_THREADS value"
         except ValueError:
             raise ValueError(f"invalid BLOCH_LAB_THREADS value {env!r}")
-    return 1
+    if n < 1:
+        raise ValueError(f"invalid {source} {n}: need an integer >= 1")
+    return n
 
 
 def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
@@ -170,6 +175,8 @@ def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
+    if campaign.samples < 1:
+        raise ValueError(f"invalid samples {campaign.samples}: need an integer >= 1")
     checks = _resolve_checks(campaign)
     table = make_check_table(campaign.dims, restarts=campaign.restarts)
     threads = resolve_threads(campaign.threads)
@@ -194,7 +201,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
         slacks = [rows[i][name] for i in range(campaign.samples)]
         violations = sum(1 for s in slacks if s < -SLACK_TOL)
         cand_idx = [i for i, s in enumerate(slacks) if s < -CANDIDATE_TOL]
-        min_i = min(range(len(slacks)), key=lambda i: (slacks[i], i)) if slacks else 0
+        min_i = min(range(len(slacks)), key=lambda i: (slacks[i], i))
         ce_files: list[str] = []
         if not campaign.negate:
             for i in cand_idx:
@@ -207,7 +214,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
             samples=campaign.samples,
             violations=violations,
             candidates=len(cand_idx),
-            min_slack=float(slacks[min_i]) if slacks else 0.0,
+            min_slack=float(slacks[min_i]),
             argmin_index=min_i,
             counterexample_files=ce_files,
         )

@@ -115,6 +115,28 @@ def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
         assert "restarts" in err and not out, argv
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_thread_count_is_usage_error(capsys, tmp_path, monkeypatch, threads):
+    verify = ("verify", "--dims", "2,2", "--samples", "2")
+    code, out, err = run(capsys, *verify, "--threads", threads)
+    assert code == 2 and "thread" in err and not out
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"threads = {threads}\n")
+    code, out, err = run(capsys, "--config", str(cfg), *verify)
+    assert code == 2 and "thread" in err and not out
+    monkeypatch.setenv("BLOCH_LAB_THREADS", threads)
+    code, out, err = run(capsys, *verify)
+    assert code == 2 and "BLOCH_LAB_THREADS" in err and not out
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_empty_campaign_is_usage_error(capsys, samples):
+    for extra in ((), ("--negate-control",)):
+        code, out, err = run(capsys, "verify", "--dims", "2,2", "--samples", samples, *extra)
+        assert code == 2, extra
+        assert "samples" in err and not out, extra
+
+
 def test_verify_clean_run_exits_zero(capsys, tmp_path):
     out_file = str(tmp_path / "report.json")
     code, _, _ = run(capsys, "verify", "--dims", "2,2", "--samples", "10",

@@ -17,7 +17,7 @@ from bloch_lab.io import (basis_from_jsonable, basis_to_jsonable, fig1_to_jsonab
                           monotone_to_jsonable, report_to_jsonable, state_from_jsonable,
                           state_to_jsonable, tensor_to_jsonable, write_fig1_csv,
                           write_figA_csv, write_figB_csv)
-from bloch_lab.monotone import correlation_monotone
+from bloch_lab.monotone import OptimizerConfig, correlation_monotone
 from bloch_lab.entropy import check_subadditivity
 
 
@@ -189,7 +189,14 @@ def test_report_and_monotone_jsonables():
     assert rep["holds"] is True
     mono = monotone_to_jsonable(correlation_monotone(max_entangled(2), ((0,), (1,))))
     assert mono["value"] == pytest.approx(1.0)
+    assert (mono["sweeps"], mono["restart_values"]) == (0, [])
     json.dumps(mono)
+    split = correlation_monotone(random_state((2, 3), EnsembleSpec(seed=4)), ((0,), (1,)),
+                                 config=OptimizerConfig(restarts=3, seed=0))
+    mono = json.loads(json.dumps(monotone_to_jsonable(split)))
+    assert mono["sweeps"] == split.sweeps >= 1
+    assert mono["restart_values"] == list(split.restart_values)
+    assert len(mono["restart_values"]) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,26 @@ def test_objective_small_site_second():
     assert obj.value(proj) == pytest.approx(sn.low_joint, abs=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4), (3, 2), (4, 2)])
+def test_reported_split_numbers_match_split_basis_sector_norms(dims):
+    # raw and delta are read from the quadratic form; here they are pinned to
+    # the coefficients of the state rotated by r.unitary in the split basis
+    small, large = min(dims), max(dims)
+    large_site = dims.index(large)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    for i in range(2):
+        s = hs_state(dims, seed=37, index=i)
+        r = correlation_monotone(s, ((0,), (1,)), config=cfg)
+        rot = (np.kron(np.eye(small), r.unitary) if large_site == 1
+               else np.kron(r.unitary, np.eye(small)))
+        rotated = from_matrix(rot.conj().T @ s.matrix @ rot, dims)
+        sn = split_sector_norms(
+            bloch_coefficients(rotated, bases_with_split(dims, large_site, small)))
+        high = sn.c0p + sn.high_canonical + sn.high_split + sn.high_joint
+        assert r.raw == pytest.approx(sn.low_joint, abs=1e-12), (dims, i)
+        assert r.delta == pytest.approx(small / (large - small) * high, abs=1e-12), (dims, i)
+
+
 # ---------------------------------------------------------------------------
 # Givens move model and its exact maximizer
 

@@ -41,6 +41,14 @@ def test_campaign_rejects_inapplicable_name():
         run_campaign(c)
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_campaign_rejects_empty_sample_count(samples):
+    # a campaign with no samples has no evidence for a verdict either way
+    for negate in (False, True):
+        with pytest.raises(ValueError, match="samples"):
+            run_campaign(Campaign(dims=(2, 2), ensemble=hs(0), samples=samples, negate=negate))
+
+
 # ---------------------------------------------------------------------------
 # campaign runs
 
@@ -90,7 +98,12 @@ def test_resolve_threads_env(monkeypatch):
     assert resolve_threads(3) == 3
     monkeypatch.setenv("BLOCH_LAB_THREADS", "7")
     assert resolve_threads(None) == 7
-    assert resolve_threads(0) == 1  # nonpositive requests clamp to serial
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="thread count"):
+            resolve_threads(bad)
+    monkeypatch.setenv("BLOCH_LAB_THREADS", "0")
+    with pytest.raises(ValueError, match="BLOCH_LAB_THREADS"):
+        resolve_threads(None)
     monkeypatch.setenv("BLOCH_LAB_THREADS", "lots")
     with pytest.raises(ValueError):
         resolve_threads(None)
