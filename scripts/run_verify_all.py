@@ -34,7 +34,6 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--ensemble", default="hilbert-schmidt")
-    ap.add_argument("--threads", type=int, default=None)
     ap.add_argument("--out-dir", default="data/verify")
     ap.add_argument("--negate-control", action="store_true",
                     help="also re-run each campaign sign-flipped as a self-test")
@@ -58,7 +57,6 @@ def main() -> None:
             ensemble=EnsembleSpec(kind=args.ensemble, seed=args.seed),
             inequalities=("all",),
             samples=args.samples,
-            threads=args.threads,
             out_dir=str(out_dir),
         )
         report = run_campaign(campaign)

@@ -7,8 +7,7 @@ state files).
 
 A ``--config FILE`` of key=value lines supplies defaults for any long
 option (key = option name with dashes as underscores); explicit flags win.
-Environment: BLOCH_LAB_SEED (default seed), BLOCH_LAB_THREADS (default
-worker count).
+Environment: BLOCH_LAB_SEED (default seed).  Campaigns run serially.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .states import EnsembleSpec, partial_trace, random_state
 from .verify import Campaign, run_campaign
 
 _CONFIG_TYPES = {
-    "seed": int, "threads": int, "samples": int, "restarts": int, "points": int,
+    "seed": int, "samples": int, "restarts": int, "points": int,
     "resolution": int, "index": int, "rank_cap": int, "d_e": int,
     "q": float, "alpha": float, "deterministic": "bool",
 }
@@ -229,7 +228,6 @@ def _cmd_verify(args) -> int:
         ensemble=_ensemble_from_args(args),
         inequalities=names,
         samples=_resolve(args, "samples", 1000),
-        threads=_resolve(args, "threads", None),
         restarts=_resolve(args, "restarts", 8),
         negate=bool(args.negate_control),
         out_dir=args.out_dir,
@@ -359,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--factors", default=None)
     sp.add_argument("--inequalities", default=None,
                     help="comma-separated check names, default all applicable")
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--restarts", type=int, default=None)
     sp.add_argument("--negate-control", action="store_true",
                     help="flip slack signs as a detection self-test; "

@@ -98,7 +98,7 @@ def _sl(state: DensityMatrix, keep=None) -> float:
     return 1.0 - _marginal_purity(state, range(state.n_sites) if keep is None else keep)
 
 
-def check_dim_ssa(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
+def check_dim_ssa(state: DensityMatrix) -> InequalityReport:
     """Dimension-weighted strong-subadditivity form of the linear entropy.
 
     S(ABC) + S(C)/(dA dB) <= S(AC)/dB + S(BC)/dA + (dA dB + 1 - dA - dB)/(dA dB)
@@ -111,11 +111,10 @@ def check_dim_ssa(state: DensityMatrix, state_ref: str | None = None) -> Inequal
     const = (da * db + 1 - da - db) / (da * db)
     lhs = _sl(state) + _sl(state, c_sites) / (da * db)
     rhs = _sl(state, (0,) + c_sites) / db + _sl(state, (1,) + c_sites) / da + const
-    return report_from_sides("dim-ssa", lhs, rhs, state_ref=state_ref,
-                             extras={"constant": const})
+    return report_from_sides("dim-ssa", lhs, rhs, extras={"constant": const})
 
 
-def dim_ssa_vs_subadd(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
+def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     """Is the dimension-weighted bound on S(ABC) sharper than padded subadditivity?
 
     Sharper exactly when (1 - 1/dB) S(AC) + S(B) - S(BC)/dA + S(C)/(dA dB)
@@ -129,12 +128,11 @@ def dim_ssa_vs_subadd(state: DensityMatrix, state_ref: str | None = None) -> Ine
     const = (da * db + 1 - da - db) / (da * db)
     comparison = ((1.0 - 1.0 / db) * _sl(state, (0,) + c_sites) + _sl(state, (1,))
                   - _sl(state, (1,) + c_sites) / da + _sl(state, c_sites) / (da * db))
-    return report_from_sides("dim-ssa-vs-subadd", const, comparison, state_ref=state_ref,
+    return report_from_sides("dim-ssa-vs-subadd", const, comparison,
                              extras={"comparison": comparison, "constant": const})
 
 
-def check_subadditivity(state: DensityMatrix, q: float = 2.0,
-                        state_ref: str | None = None) -> InequalityReport:
+def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityReport:
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
     if state.n_sites < 2:
         raise ValueError(f"unsupported shape: need at least 2 sites, got {state.n_sites}")
@@ -147,10 +145,10 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0,
 
     lhs = s_q(range(state.n_sites))
     rhs = s_q((0,)) + s_q(range(1, state.n_sites))
-    return report_from_sides("subadd", lhs, rhs, state_ref=state_ref, extras={"q": q})
+    return report_from_sides("subadd", lhs, rhs, extras={"q": q})
 
 
-def check_gen_pseudo_additivity(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
+def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     """Correlated lower bound on S(A) + S(B) - S(A) S(B) from S(AB).
 
     1 - (dA dB / 4)(1 - S(AB) + 1/(dA dB))^2 <= S(A) + S(B) - S(A) S(B),
@@ -164,7 +162,7 @@ def check_gen_pseudo_additivity(state: DensityMatrix, state_ref: str | None = No
     s_b = _sl(state, range(1, state.n_sites))
     lhs = 1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2
     rhs = s_a + s_b - s_a * s_b
-    return report_from_sides("gen-pseudo", lhs, rhs, state_ref=state_ref,
+    return report_from_sides("gen-pseudo", lhs, rhs,
                              extras={"s_ab": s_ab, "s_a": s_a, "s_b": s_b})
 
 

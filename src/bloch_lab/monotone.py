@@ -105,6 +105,13 @@ class MonotoneResult:
     lock-step sweeps the optimizer ran and ``restart_values`` holds each
     restart's final objective value, in restart order; they stay 0 and ()
     when no optimization ran.
+
+    ``value`` is fixed to rounding level, but ``unitary`` and ``delta`` only
+    to about sqrt(machine epsilon): the maximum is flat to second order, so
+    the optimizer pins the subspace only to about 1e-8.  A rounding-level
+    change in the ascent once moved ``delta`` by 5.4e-9 while ``value`` moved
+    by 7.8e-16, so ``delta`` must not be compared across versions below
+    about 1e-7.
     """
 
     value: float
@@ -432,8 +439,7 @@ def _require_three_sites(state: DensityMatrix, name: str, equal_first_pair: bool
         raise ValueError(f"unsupported shape for {name}: need equal first-pair dimensions, got {state.dims}")
 
 
-def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None,
-                 state_ref: str | None = None) -> InequalityReport:
+def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Monogamy of the monotone: T(A|E) + T(B|E) <= (g_ABE/min(g_AE, g_BE)) T(AB|E)."""
     _require_three_sites(state, "monogamy check", equal_first_pair=True)
     t_ae = correlation_monotone(state, ((0,), (2,)), config=config)
@@ -442,7 +448,7 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None,
     coeff = t_abe.g / min(t_ae.g, t_be.g)
     lhs = t_ae.value + t_be.value
     rhs = coeff * t_abe.value
-    return report_from_sides("thm1i", lhs, rhs, state_ref=state_ref,
+    return report_from_sides("thm1i", lhs, rhs,
                              extras={"t_ae": t_ae.value, "t_be": t_be.value,
                                      "t_abe": t_abe.value, "coefficient": coeff})
 
@@ -466,13 +472,13 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     return _eve_bound(state_ab.dims[0], d_e, _marginal_purity(state_ab, (0, 1)))
 
 
-def check_thm1_ii(state: DensityMatrix, state_ref: str | None = None) -> InequalityReport:
+def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
     """T(AB|E) cannot exceed the bound computed from the AB marginal."""
     _require_three_sites(state, "marginal bound check", equal_first_pair=True)
     t_abe = correlation_monotone(state, ((0, 1), (2,)))
     # P_AB comes from the state's own purity table, which T(AB|E) just filled
     bound = _eve_bound(state.dims[0], state.dims[2], _marginal_purity(state, (0, 1)))
-    return report_from_sides("thm1ii", t_abe.value, bound, state_ref=state_ref,
+    return report_from_sides("thm1ii", t_abe.value, bound,
                              extras={"t_abe": t_abe.value, "g": t_abe.g})
 
 
@@ -481,15 +487,14 @@ def excess(value: float, d: int) -> float:
     return float(d) * (float(value) - 1.0)
 
 
-def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None,
-                 state_ref: str | None = None) -> InequalityReport:
+def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
     if state.n_sites != 3:
         raise ValueError(f"unsupported shape: need 3 sites, got {state.n_sites}")
     t_ab = correlation_monotone(state, ((0,), (1,)), config=config)
     t_abe = correlation_monotone(state, ((0,), (1, 2)))
     lhs = (t_ab.g / t_abe.g) * t_ab.value
-    return report_from_sides("lemma5", lhs, t_abe.value, state_ref=state_ref,
+    return report_from_sides("lemma5", lhs, t_abe.value,
                              extras={"t_ab": t_ab.value, "t_a_be": t_abe.value})
 
 
@@ -512,8 +517,7 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     return float(lower), float(upper)
 
 
-def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None,
-                 state_ref: str | None = None) -> InequalityReport:
+def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
     """Sandwich ||T^A||^2 + ||T^B||^2 between the bounds set by T(A|B)."""
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for sandwich check: need two equal sites, got {state_ab.dims}")
@@ -531,6 +535,5 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None,
         rhs=upper,
         slack=float(slack),
         holds=bool(slack >= -SLACK_TOL),
-        state_ref=state_ref,
         extras={"local_mass": float(local), "t": float(t), "d_e": int(d_e)},
     )

@@ -21,11 +21,10 @@ class InequalityReport:
     rhs: float
     slack: float
     holds: bool
-    state_ref: str | None = None
     extras: dict = field(default_factory=dict)
 
 
-def report_from_sides(name: str, lhs: float, rhs: float, *, state_ref: str | None = None,
+def report_from_sides(name: str, lhs: float, rhs: float, *,
                       extras: dict | None = None) -> InequalityReport:
     slack = rhs - lhs
     return InequalityReport(
@@ -34,6 +33,5 @@ def report_from_sides(name: str, lhs: float, rhs: float, *, state_ref: str | Non
         rhs=float(rhs),
         slack=float(slack),
         holds=bool(slack >= -SLACK_TOL),
-        state_ref=state_ref,
         extras=extras or {},
     )

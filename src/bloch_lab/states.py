@@ -6,7 +6,7 @@ Kronecker product a (x) b, and the flat index of a product basis state
 
 Random sampling is deterministic per (seed, index): each sample index gets
 its own PCG64 stream derived by splitmix64-style mixing, so a batch can be
-generated in any order or split across threads without changing the draws.
+generated in any order without changing the draws.
 """
 
 from __future__ import annotations

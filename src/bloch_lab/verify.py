@@ -6,8 +6,9 @@ as a violation; below -1e-6 the sample becomes a counterexample candidate,
 is re-evaluated with extended-precision (fsum) reductions, and, if
 confirmed, is dumped to ce_<hash>.json for inspection.
 
-Per-sample results are reduced in sample order, so a report depends only
-on (dims, ensemble, checks, samples), never on the worker-thread count.
+Samples are evaluated one after another in index order, and each draw
+depends only on (seed, index), so a report depends only on (dims, ensemble,
+checks, samples, restarts), not on the order the samples are evaluated in.
 The negation control flips every slack sign before aggregation; on healthy
 checks it must report violations nearly everywhere, which exercises the
 detection path end to end.
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,55 +32,57 @@ from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i
 from .reports import CANDIDATE_TOL, SLACK_TOL
 from .states import DensityMatrix, EnsembleSpec, random_state
 
-CHECK_ORDER = ("thm1i", "thm1ii", "lemma5", "lemma6", "dim-ssa", "subadd", "gen-pseudo")
+# name -> (applies to these site dims?, check, takes the optimizer config?),
+# in campaign order
+_CHECKS = {
+    "thm1i": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_i, True),
+    "thm1ii": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_ii, False),
+    "lemma5": (lambda d: len(d) == 3, check_lemma5, True),
+    "lemma6": (lambda d: len(d) == 2 and d[0] == d[1], check_lemma6, False),
+    "dim-ssa": (lambda d: len(d) >= 3, check_dim_ssa, False),
+    "subadd": (lambda d: len(d) >= 2, check_subadditivity, False),
+    "gen-pseudo": (lambda d: len(d) >= 2, check_gen_pseudo_additivity, False),
+}
+CHECK_ORDER = tuple(_CHECKS)
 
 
 def applicable_inequalities(dims) -> tuple[str, ...]:
     """The checks that make sense for a site-dimension tuple, canonical order."""
     dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    out = []
-    for name in CHECK_ORDER:
-        if name in ("thm1i", "thm1ii"):
-            ok = n == 3 and dims[0] == dims[1]
-        elif name == "lemma5":
-            ok = n == 3
-        elif name == "lemma6":
-            ok = n == 2 and dims[0] == dims[1]
-        elif name == "dim-ssa":
-            ok = n >= 3
-        else:
-            ok = n >= 2
-        if ok:
-            out.append(name)
-    return tuple(out)
+    return tuple(name for name, (applies, _, _) in _CHECKS.items() if applies(dims))
 
 
-def make_check_table(dims, restarts: int = 8, q: float = 2.0):
-    """name -> callable(state, state_ref) -> InequalityReport for these dims."""
-    cfg = OptimizerConfig(restarts=restarts)
-    return {
-        "thm1i": lambda s, ref=None: check_thm1_i(s, config=cfg, state_ref=ref),
-        "thm1ii": lambda s, ref=None: check_thm1_ii(s, state_ref=ref),
-        "lemma5": lambda s, ref=None: check_lemma5(s, config=cfg, state_ref=ref),
-        "lemma6": lambda s, ref=None: check_lemma6(s, state_ref=ref),
-        "dim-ssa": lambda s, ref=None: check_dim_ssa(s, state_ref=ref),
-        "subadd": lambda s, ref=None: check_subadditivity(s, q=q, state_ref=ref),
-        "gen-pseudo": lambda s, ref=None: check_gen_pseudo_additivity(s, state_ref=ref),
-    }
+def _bind(name: str, config: OptimizerConfig):
+    _, check, optimizes = _CHECKS[name]
+    return partial(check, config=config) if optimizes else check
+
+
+def make_check_table(dims, restarts: int = 8):
+    """name -> callable(state) -> InequalityReport, for the checks applicable to dims."""
+    config = OptimizerConfig(restarts=restarts)
+    return {name: _bind(name, config) for name in applicable_inequalities(dims)}
+
+
+def _require_applicable(name: str, dims) -> None:
+    if name not in _CHECKS:
+        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
+    if name not in applicable_inequalities(dims):
+        raise ValueError(f"inequality {name!r} is not applicable to dims {tuple(dims)}")
 
 
 def _check_for(name: str, dims, restarts: int):
-    """The callable of one check from ``make_check_table``, by name."""
-    table = make_check_table(dims, restarts=restarts)
-    if name not in table:
-        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
-    return table[name]
+    """The callable of one check, as ``make_check_table`` would bind it."""
+    _require_applicable(name, dims)
+    return _bind(name, OptimizerConfig(restarts=restarts))
 
 
 @dataclass(frozen=True)
 class Campaign:
-    """One verification run: ensemble, sample count, and checks to apply."""
+    """One verification run: ensemble, sample count, and checks to apply.
+
+    Campaigns run serially.  ``threads`` is kept only so that callers which
+    pass ``threads=1`` keep working: it accepts None or 1, and nothing reads it.
+    """
 
     dims: tuple[int, ...]
     ensemble: EnsembleSpec = EnsembleSpec()
@@ -90,6 +92,11 @@ class Campaign:
     restarts: int = 8
     negate: bool = False
     out_dir: str | None = None
+
+    def __post_init__(self):
+        if self.threads not in (None, 1):
+            raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
+                             "so only None or 1 is accepted")
 
 
 @dataclass
@@ -144,33 +151,14 @@ class CampaignReport:
         return out
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: ``explicit``, else BLOCH_LAB_THREADS, else 1; below 1 is an error."""
-    if explicit is not None:
-        n, source = int(explicit), "thread count"
-    else:
-        env = os.environ.get("BLOCH_LAB_THREADS")
-        if not env:
-            return 1
-        try:
-            n, source = int(env), "BLOCH_LAB_THREADS value"
-        except ValueError:
-            raise ValueError(f"invalid BLOCH_LAB_THREADS value {env!r}")
-    if n < 1:
-        raise ValueError(f"invalid {source} {n}: need an integer >= 1")
-    return n
-
-
 def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
     names = campaign.inequalities
     if names == ("all",) or names == "all":
         return applicable_inequalities(campaign.dims)
-    applicable = set(applicable_inequalities(campaign.dims))
-    for n in names:
-        if n not in CHECK_ORDER:
-            raise ValueError(f"unknown inequality {n!r}; choose from {CHECK_ORDER}")
-        if n not in applicable:
-            raise ValueError(f"inequality {n!r} is not applicable to dims {campaign.dims}")
+    for k, name in enumerate(names):
+        _require_applicable(name, campaign.dims)
+        if name in names[:k]:
+            raise ValueError(f"inequality {name!r} is listed more than once")
     return tuple(names)
 
 
@@ -179,26 +167,17 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
         raise ValueError(f"invalid samples {campaign.samples}: need an integer >= 1")
     checks = _resolve_checks(campaign)
     table = make_check_table(campaign.dims, restarts=campaign.restarts)
-    threads = resolve_threads(campaign.threads)
     t0 = time.perf_counter()
 
-    def eval_index(i: int) -> dict[str, float]:
+    slacks_by_check: dict[str, list[float]] = {name: [] for name in checks}
+    for i in range(campaign.samples):
         state = random_state(campaign.dims, campaign.ensemble, index=i)
-        row = {}
         for name in checks:
-            rep = table[name](state)
-            row[name] = -rep.slack if campaign.negate else rep.slack
-        return row
-
-    if threads == 1:
-        rows = [eval_index(i) for i in range(campaign.samples)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_index, range(campaign.samples), chunksize=16))
+            slack = table[name](state).slack
+            slacks_by_check[name].append(-slack if campaign.negate else slack)
 
     stats: dict[str, CheckStats] = {}
-    for name in checks:
-        slacks = [rows[i][name] for i in range(campaign.samples)]
+    for name, slacks in slacks_by_check.items():
         violations = sum(1 for s in slacks if s < -SLACK_TOL)
         cand_idx = [i for i, s in enumerate(slacks) if s < -CANDIDATE_TOL]
         min_i = min(range(len(slacks)), key=lambda i: (slacks[i], i))

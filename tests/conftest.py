@@ -1,0 +1,36 @@
+"""Fixtures shared by several test modules."""
+
+from __future__ import annotations
+
+import pytest
+
+from bloch_lab import random_state
+from bloch_lab.reports import CANDIDATE_TOL, SLACK_TOL
+from bloch_lab.verify import make_check_table
+
+
+def _stats_match_reverse_order(campaign, report) -> bool:
+    """Whether every check's violations, candidates, min_slack (bit for bit)
+    and argmin_index in ``report`` equal a reference computed directly from
+    the check table on freshly drawn states, in reverse index order."""
+    if tuple(report.stats) != report.inequalities:
+        return False
+    table = make_check_table(campaign.dims, restarts=campaign.restarts)
+    slacks = {name: [0.0] * campaign.samples for name in report.inequalities}
+    for i in reversed(range(campaign.samples)):
+        state = random_state(campaign.dims, campaign.ensemble, index=i)
+        for name, row in slacks.items():
+            row[i] = table[name](state).slack
+    for name, s in slacks.items():
+        min_i = min(range(len(s)), key=lambda i: (s[i], i))
+        want = (sum(v < -SLACK_TOL for v in s), sum(v < -CANDIDATE_TOL for v in s),
+                s[min_i].hex(), min_i)
+        st = report.stats[name]
+        if (st.violations, st.candidates, st.min_slack.hex(), st.argmin_index) != want:
+            return False
+    return True
+
+
+@pytest.fixture
+def stats_match_reverse_order():
+    return _stats_match_reverse_order

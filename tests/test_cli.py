@@ -117,16 +117,20 @@ def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_bad_thread_count_is_usage_error(capsys, tmp_path, monkeypatch, threads):
+    # campaigns run serially: the flag and the config key are gone, so any
+    # thread count is a usage error, and BLOCH_LAB_THREADS is not read
     verify = ("verify", "--dims", "2,2", "--samples", "2")
-    code, out, err = run(capsys, *verify, "--threads", threads)
-    assert code == 2 and "thread" in err and not out
+    with pytest.raises(SystemExit) as exc:
+        main([*verify, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
     cfg = tmp_path / "cfg"
     cfg.write_text(f"threads = {threads}\n")
     code, out, err = run(capsys, "--config", str(cfg), *verify)
-    assert code == 2 and "thread" in err and not out
+    assert code == 2 and "unknown config key 'threads'" in err and not out
     monkeypatch.setenv("BLOCH_LAB_THREADS", threads)
     code, out, err = run(capsys, *verify)
-    assert code == 2 and "BLOCH_LAB_THREADS" in err and not out
+    assert code == 0 and json.loads(out)["samples"] == 2 and not err
 
 
 @pytest.mark.parametrize("samples", ["0", "-4"])
@@ -153,6 +157,14 @@ def test_verify_negate_control_exits_zero_when_tripped(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["negate"] is True
+
+
+def test_verify_repeated_check_name_is_usage_error(capsys):
+    for extra in ((), ("--negate-control",)):
+        code, out, err = run(capsys, "verify", "--dims", "2,2", "--samples", "5",
+                             "--inequalities", "subadd,subadd", *extra)
+        assert code == 2, extra
+        assert "more than once" in err and not out, extra
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):

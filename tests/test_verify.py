@@ -4,13 +4,14 @@ negation control, counterexample dumps and minimum refinement."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from bloch_lab import (Campaign, EnsembleSpec, applicable_inequalities, from_matrix,
                        maximally_mixed, negation_control, precise_slack, random_state,
                        refine_minimum, run_campaign)
-from bloch_lab.verify import _dump_counterexample, make_check_table, resolve_threads
+from bloch_lab.verify import _dump_counterexample, make_check_table
 
 
 def hs(seed):
@@ -55,7 +56,7 @@ def test_campaign_rejects_empty_sample_count(samples):
 
 def test_small_campaign_is_clean():
     rep = run_campaign(Campaign(dims=(2, 2, 2), ensemble=hs(5), samples=25,
-                                threads=1, restarts=2))
+                                restarts=2))
     assert rep.total_violations == 0
     for name, s in rep.stats.items():
         assert s.samples == 25
@@ -66,25 +67,25 @@ def test_small_campaign_is_clean():
         assert s.counterexample_files == []
 
 
-def test_thread_count_does_not_change_report():
-    reports = [
-        run_campaign(Campaign(dims=(2, 2, 2), ensemble=hs(5), samples=30,
-                              threads=t, restarts=2))
-        for t in (1, 2, 4)
-    ]
+def test_report_does_not_depend_on_evaluation_order(stats_match_reverse_order):
+    # (2, 2, 3) sends thm1i through the split optimizer
+    campaign = Campaign(dims=(2, 2, 3), ensemble=hs(5), samples=6, restarts=2)
+    reports = [run_campaign(campaign) for _ in range(2)]
     blobs = {json.dumps(r.to_jsonable(deterministic=True), sort_keys=True)
              for r in reports}
     assert len(blobs) == 1
+    assert set(reports[0].stats) == set(applicable_inequalities(campaign.dims))
+    assert stats_match_reverse_order(campaign, reports[0])
 
 
 def test_wall_clock_only_in_live_reports():
-    rep = run_campaign(Campaign(dims=(2, 2), ensemble=hs(1), samples=5, threads=1))
+    rep = run_campaign(Campaign(dims=(2, 2), ensemble=hs(1), samples=5))
     assert "wall_clock_s" in rep.to_jsonable(deterministic=False)
     assert "wall_clock_s" not in rep.to_jsonable(deterministic=True)
 
 
 def test_negation_control_trips_every_check():
-    base = Campaign(dims=(2, 2, 2), ensemble=hs(5), samples=20, threads=1, restarts=2)
+    base = Campaign(dims=(2, 2, 2), ensemble=hs(5), samples=20, restarts=2)
     rep = negation_control(base)
     assert rep.negate
     for name, s in rep.stats.items():
@@ -92,21 +93,20 @@ def test_negation_control_trips_every_check():
         assert s.counterexample_files == []  # dumps suppressed under negation
 
 
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.delenv("BLOCH_LAB_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("BLOCH_LAB_THREADS", "7")
-    assert resolve_threads(None) == 7
-    for bad in (0, -3):
-        with pytest.raises(ValueError, match="thread count"):
-            resolve_threads(bad)
-    monkeypatch.setenv("BLOCH_LAB_THREADS", "0")
-    with pytest.raises(ValueError, match="BLOCH_LAB_THREADS"):
-        resolve_threads(None)
-    monkeypatch.setenv("BLOCH_LAB_THREADS", "lots")
-    with pytest.raises(ValueError):
-        resolve_threads(None)
+def test_campaign_threads_only_accepts_serial():
+    Campaign(dims=(2, 2), threads=None)
+    Campaign(dims=(2, 2), threads=1)
+    with pytest.raises(ValueError, match="serially"):
+        Campaign(dims=(2, 2), threads=2)
+
+
+def test_campaign_rejects_repeated_check_name():
+    # a repeated name would share one stats entry while the report lists it
+    # twice, so the negation control would expect twice the violations
+    c = Campaign(dims=(2, 2), ensemble=hs(0), inequalities=("subadd", "subadd"), samples=2)
+    for campaign in (c, replace(c, negate=True)):
+        with pytest.raises(ValueError, match="more than once"):
+            run_campaign(campaign)
 
 
 # ---------------------------------------------------------------------------
