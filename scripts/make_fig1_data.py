@@ -33,9 +33,7 @@ def main() -> None:
         data = sweep_fig1(d_values=d_values, case=case, points=args.points)
         path = out_dir / f"fig1_{case}.csv"
         write_fig1_csv(data, path, deterministic=args.deterministic)
-        clipped = [d for d, flag in data.clipped.items() if flag]
-        note = f" (clipped: {clipped})" if clipped else ""
-        print(f"wrote {path} [{args.points} points x {len(d_values)} dims]{note}")
+        print(f"wrote {path} [{args.points} points x {len(d_values)} dims]")
 
 
 if __name__ == "__main__":

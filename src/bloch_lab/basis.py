@@ -145,6 +145,22 @@ def _sub_identity(dim: int, lo: int, hi: int) -> np.ndarray:
     return m
 
 
+def _offdiag(d: int, pairs, scale: float) -> list[BasisElement]:
+    """Symmetric elements of the level pairs (k, l), then the matching antisymmetric ones."""
+    return ([BasisElement(SYM, k, l, _sym_element(d, k, l, scale), scale) for k, l in pairs]
+            + [BasisElement(ANTISYM, k, l, _antisym_element(d, k, l, scale), scale)
+               for k, l in pairs])
+
+
+def _block(d: int, lo: int, hi: int, identity_sector: str, diag_sector: str) -> list[BasisElement]:
+    """The canonical construction on levels [lo, hi), every element with Tr(E^2) = hi - lo."""
+    scale = float(hi - lo)
+    els = [BasisElement(identity_sector, 0, 0, _sub_identity(d, lo, hi), scale)]
+    for k in range(1, hi - lo):
+        els.append(BasisElement(diag_sector, k, k, _diag_element(d, lo, k, scale), scale))
+    return els + _offdiag(d, [(k, l) for k in range(lo, hi) for l in range(k + 1, hi)], scale)
+
+
 def gellmann_basis(d: int) -> OperatorBasis:
     """Canonical basis: identity plus rescaled generalized Gell-Mann matrices.
 
@@ -152,17 +168,7 @@ def gellmann_basis(d: int) -> OperatorBasis:
     identity.
     """
     _check_dim(d)
-    scale = float(d)
-    els = [BasisElement(IDENTITY, 0, 0, np.eye(d), scale)]
-    for k in range(1, d):
-        els.append(BasisElement(DIAG, k, k, _diag_element(d, 0, k, scale), scale))
-    for k in range(d):
-        for l in range(k + 1, d):
-            els.append(BasisElement(SYM, k, l, _sym_element(d, k, l, scale), scale))
-    for k in range(d):
-        for l in range(k + 1, d):
-            els.append(BasisElement(ANTISYM, k, l, _antisym_element(d, k, l, scale), scale))
-    return OperatorBasis(dim=d, cut=None, elements=tuple(els))
+    return OperatorBasis(dim=d, cut=None, elements=tuple(_block(d, 0, d, IDENTITY, DIAG)))
 
 
 def split_basis(d: int, cut: int) -> OperatorBasis:
@@ -176,40 +182,9 @@ def split_basis(d: int, cut: int) -> OperatorBasis:
     if not isinstance(cut, (int, np.integer)) or not 1 <= cut <= d - 1:
         raise ValueError(f"invalid cut {cut!r} for dimension {d}: need integer 1 <= cut <= d-1")
     c = int(cut)
-    h = d - c
-    lo_scale, hi_scale = float(c), float(h)
-    els = []
-
-    # low block
-    els.append(BasisElement(SUB_LOW, 0, 0, _sub_identity(d, 0, c), lo_scale))
-    for k in range(1, c):
-        els.append(BasisElement(DIAG_LOW, k, k, _diag_element(d, 0, k, lo_scale), lo_scale))
-    for k in range(c):
-        for l in range(k + 1, c):
-            els.append(BasisElement(SYM, k, l, _sym_element(d, k, l, lo_scale), lo_scale))
-    for k in range(c):
-        for l in range(k + 1, c):
-            els.append(BasisElement(ANTISYM, k, l, _antisym_element(d, k, l, lo_scale), lo_scale))
-
-    # high block
-    els.append(BasisElement(SUB_HIGH, 0, 0, _sub_identity(d, c, d), hi_scale))
-    for k in range(1, h):
-        els.append(BasisElement(DIAG_HIGH, k, k, _diag_element(d, c, k, hi_scale), hi_scale))
-    for k in range(c, d):
-        for l in range(k + 1, d):
-            els.append(BasisElement(SYM, k, l, _sym_element(d, k, l, hi_scale), hi_scale))
-    for k in range(c, d):
-        for l in range(k + 1, d):
-            els.append(BasisElement(ANTISYM, k, l, _antisym_element(d, k, l, hi_scale), hi_scale))
-
     # cross block: one index below the cut, one above
-    for k in range(c):
-        for l in range(c, d):
-            els.append(BasisElement(SYM, k, l, _sym_element(d, k, l, hi_scale), hi_scale))
-    for k in range(c):
-        for l in range(c, d):
-            els.append(BasisElement(ANTISYM, k, l, _antisym_element(d, k, l, hi_scale), hi_scale))
-
+    cross = _offdiag(d, [(k, l) for k in range(c) for l in range(c, d)], float(d - c))
+    els = _block(d, 0, c, SUB_LOW, DIAG_LOW) + _block(d, c, d, SUB_HIGH, DIAG_HIGH) + cross
     assert len(els) == d * d
     return OperatorBasis(dim=d, cut=c, elements=tuple(els))
 

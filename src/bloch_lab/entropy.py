@@ -148,6 +148,16 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityRepor
     return report_from_sides("subadd", lhs, rhs, extras={"q": q})
 
 
+def _genpseudo_floor(s_ab, m: int):
+    """1 - (m/4)(1 - S(AB) + 1/m)^2, the bound on the gen-pseudo side; m = dA dB."""
+    return 1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2
+
+
+def _genpseudo_side(s_a, s_b):
+    """S(A) + S(B) - S(A) S(B), the side of gen-pseudo additivity bounded below."""
+    return s_a + s_b - s_a * s_b
+
+
 def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     """Correlated lower bound on S(A) + S(B) - S(A) S(B) from S(AB).
 
@@ -156,13 +166,11 @@ def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     """
     if state.n_sites < 2:
         raise ValueError(f"unsupported shape: need at least 2 sites, got {state.n_sites}")
-    m = state.dim
     s_ab = _sl(state)
     s_a = _sl(state, (0,))
     s_b = _sl(state, range(1, state.n_sites))
-    lhs = 1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2
-    rhs = s_a + s_b - s_a * s_b
-    return report_from_sides("gen-pseudo", lhs, rhs,
+    return report_from_sides("gen-pseudo", _genpseudo_floor(s_ab, state.dim),
+                             _genpseudo_side(s_a, s_b),
                              extras={"s_ab": s_ab, "s_a": s_a, "s_b": s_b})
 
 
@@ -183,32 +191,40 @@ def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q
 # attainable-region surfaces over marginal entropies
 
 
-def _check_marginal_range(s: float, d: int, name: str) -> None:
-    if not -RANGE_TOL <= s <= 1.0 - 1.0 / d + RANGE_TOL:
+def _check_marginal_range(s, d: int, name: str) -> None:
+    if not np.all((-RANGE_TOL <= s) & (s <= 1.0 - 1.0 / d + RANGE_TOL)):
         raise ValueError(f"out-of-range marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
 
 
-def max_sab_subadd(s_a: float, s_b: float, dims) -> float:
-    """Largest S(AB) allowed by q = 2 subadditivity: min(sA + sB, physical cap)."""
+def _cap_result(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def max_sab_subadd(s_a, s_b, dims):
+    """Largest S(AB) allowed by q = 2 subadditivity: min(sA + sB, physical cap).
+
+    Takes scalars (returns a float) or broadcastable arrays (returns an array).
+    """
     da, db = (int(d) for d in dims)
     _check_marginal_range(s_a, da, "s_a")
     _check_marginal_range(s_b, db, "s_b")
     m = da * db
-    return float(min(s_a + s_b, 1.0 - 1.0 / m))
+    return _cap_result(np.minimum(s_a + s_b, 1.0 - 1.0 / m))
 
 
-def max_sab_genpseudo(s_a: float, s_b: float, dims) -> float:
+def max_sab_genpseudo(s_a, s_b, dims):
     """Largest S(AB) allowed by the correlated lower bound.
 
     1 + 1/m - 2 sqrt((1-sA)(1-sB)/m) capped at the physical maximum
-    1 - 1/m, with m = dA dB.
+    1 - 1/m, with m = dA dB.  Takes scalars (returns a float) or
+    broadcastable arrays (returns an array).
     """
     da, db = (int(d) for d in dims)
     _check_marginal_range(s_a, da, "s_a")
     _check_marginal_range(s_b, db, "s_b")
     m = da * db
     root = 1.0 + 1.0 / m - 2.0 * np.sqrt((1.0 - s_a) * (1.0 - s_b) / m)
-    return float(min(root, 1.0 - 1.0 / m))
+    return _cap_result(np.minimum(root, 1.0 - 1.0 / m))
 
 
 def validate_surface(kind: str, dims, resolution: int = 101) -> float:
@@ -230,12 +246,12 @@ def validate_surface(kind: str, dims, resolution: int = 101) -> float:
         def slack(S):
             return SA + SB - S
 
-        closed = np.minimum(SA + SB, cap)
+        closed = max_sab_subadd(SA, SB, (da, db))
     elif kind == "gen-pseudo":
         def slack(S):
-            return SA + SB - SA * SB - (1.0 - (m / 4.0) * (1.0 - S + 1.0 / m) ** 2)
+            return _genpseudo_side(SA, SB) - _genpseudo_floor(S, m)
 
-        closed = np.minimum(1.0 + 1.0 / m - 2.0 * np.sqrt((1.0 - SA) * (1.0 - SB) / m), cap)
+        closed = max_sab_genpseudo(SA, SB, (da, db))
     else:
         raise ValueError(f"unknown surface kind {kind!r}")
 
@@ -276,9 +292,7 @@ def classify_grid(s_a, s_b, s_c, dims):
               & (s_b <= s_a + s_c + tol))
 
     def pair_ok(dx, dy, sx, sy, sz):
-        mm = dx * dy
-        lhs = 1.0 - (mm / 4.0) * (1.0 - sz + 1.0 / mm) ** 2
-        return lhs <= sx + sy - sx * sy + tol
+        return _genpseudo_floor(sz, dx * dy) <= _genpseudo_side(sx, sy) + tol
 
     genp = (pair_ok(da, db, s_a, s_b, s_c)
             & pair_ok(db, dc, s_b, s_c, s_a)

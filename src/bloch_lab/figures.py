@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import classify_grid, validate_surface
+from .entropy import classify_grid, max_sab_genpseudo, max_sab_subadd, validate_surface
 from .errors import NumericError
 
 FIG1_CASES = ("worst", "best")
@@ -23,15 +23,13 @@ class Fig1Data:
 
     For each local dimension d the environment is taken as d_E = d^2 and
     the local Bloch mass at its worst (0) or best (largest allowed by t)
-    value; ``excess[d]`` is d (bound - 1) clipped at 0, with ``clipped[d]``
-    recording whether clipping ever fired.
+    value; ``excess[d]`` is d (bound - 1), which is never negative.
     """
 
     case: str
     d_values: tuple[int, ...]
     t: np.ndarray
     excess: dict[int, np.ndarray]
-    clipped: dict[int, bool]
 
 
 def sweep_fig1(d_values=(2, 3, 4, 100), case: str = "worst", points: int = 101) -> Fig1Data:
@@ -44,19 +42,14 @@ def sweep_fig1(d_values=(2, 3, 4, 100), case: str = "worst", points: int = 101) 
         raise ValueError(f"invalid dimensions {d_values}: need d >= 2")
     t = np.linspace(0.0, 1.0, points)
     excess: dict[int, np.ndarray] = {}
-    clipped: dict[int, bool] = {}
     for d in d_values:
         g = d * d - 1
-        if case == "worst":
-            local = np.zeros_like(t)
-        else:
-            local = np.minimum(2.0 * d - 2.0, g * (1.0 - t))
-        d_e = d * d
-        bound = (d ** 4 - 1 - 2.0 * local - 2.0 * g * t) / (g * (d_e - 1))
-        ex = d * (bound - 1.0)
-        clipped[d] = bool((ex < 0.0).any())
-        excess[d] = np.maximum(ex, 0.0)
-    return Fig1Data(case=case, d_values=d_values, t=t, excess=excess, clipped=clipped)
+        room = g * (1.0 - t)
+        local = np.zeros_like(t) if case == "worst" else np.minimum(2.0 * d - 2.0, room)
+        # bound = (d^4 - 1 - 2 local - 2 g t) / (g (d_E - 1)) with d_E - 1 = g, so
+        # d (bound - 1) = 2 d (g (1 - t) - local) / g^2, and local <= g (1 - t)
+        excess[d] = 2.0 * d * (room - local) / (g * g)
+    return Fig1Data(case=case, d_values=d_values, t=t, excess=excess)
 
 
 @dataclass
@@ -84,13 +77,11 @@ def sweep_figA(dims=(2, 2), resolution: int = 101) -> FigAData:
         raise ValueError(f"invalid dims {dims}: need both >= 2")
     if resolution < 2:
         raise ValueError(f"invalid resolution {resolution}: need >= 2")
-    m = da * db
-    cap = 1.0 - 1.0 / m
     s_a = np.linspace(0.0, 1.0 - 1.0 / da, resolution)
     s_b = np.linspace(0.0, 1.0 - 1.0 / db, resolution)
     SA, SB = np.meshgrid(s_a, s_b, indexing="ij")
-    subadd = np.minimum(SA + SB, cap)
-    gen_pseudo = np.minimum(1.0 + 1.0 / m - 2.0 * np.sqrt((1.0 - SA) * (1.0 - SB) / m), cap)
+    subadd = max_sab_subadd(SA, SB, (da, db))
+    gen_pseudo = max_sab_genpseudo(SA, SB, (da, db))
 
     dev_sub = validate_surface("subadd", (da, db), resolution)
     dev_gen = validate_surface("gen-pseudo", (da, db), resolution)

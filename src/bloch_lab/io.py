@@ -155,22 +155,16 @@ def monotone_to_jsonable(result) -> dict:
 # figure files
 
 
-def _header_lines(deterministic: bool, notes: list[str]) -> list[str]:
-    lines = []
-    if not deterministic:
-        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        lines.append(f"# generated {stamp}")
-    lines.extend(notes)
-    return lines
+def _header_lines(deterministic: bool) -> list[str]:
+    if deterministic:
+        return []
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return [f"# generated {stamp}"]
 
 
 def write_fig1_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    notes = []
-    clipped_ds = [d for d in data.d_values if data.clipped[d]]
-    if clipped_ds:
-        notes.append(f"# clipped: negative excess floored at 0 for d in {clipped_ds}")
     cols = ["t"] + [f"excess_d{d}" for d in data.d_values]
-    lines = _header_lines(deterministic, notes)
+    lines = _header_lines(deterministic)
     lines.append(",".join(cols))
     for i, t in enumerate(data.t):
         row = [repr(float(t))] + [repr(float(data.excess[d][i])) for d in data.d_values]
@@ -183,12 +177,11 @@ def fig1_to_jsonable(data) -> dict:
         "case": data.case,
         "t": [float(x) for x in data.t],
         "excess": {str(d): [float(x) for x in data.excess[d]] for d in data.d_values},
-        "clipped": {str(d): data.clipped[d] for d in data.d_values},
     }
 
 
 def write_figA_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    lines = _header_lines(deterministic, [])
+    lines = _header_lines(deterministic)
     lines.append("s_a,s_b,max_sab_subadd,max_sab_genpseudo")
     for i, sa in enumerate(data.s_a):
         for j, sb in enumerate(data.s_b):
@@ -211,7 +204,7 @@ def figA_to_jsonable(data) -> dict:
 
 
 def write_figB_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    lines = _header_lines(deterministic, [])
+    lines = _header_lines(deterministic)
     lines.append("s_a,s_b,s_c,subadd_ok,genpseudo_ok")
     for i, sa in enumerate(data.s_a):
         for j, sb in enumerate(data.s_b):

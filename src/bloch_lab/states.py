@@ -202,7 +202,8 @@ class EnsembleSpec:
 
     ``induced`` traces a Haar-random pure state over a rank_cap-dimensional
     ancilla (rank_cap = D reproduces Hilbert-Schmidt).  ``product-of``
-    draws each site independently with the kinds in ``factors``.
+    draws each site independently with the kinds in ``factors``, passing
+    rank_cap to each.  ``pure-haar`` and ``hilbert-schmidt`` take no rank_cap.
     """
 
     kind: str = "hilbert-schmidt"
@@ -240,6 +241,9 @@ def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
     kind = spec.canonical_kind()
     if kind == "induced" and spec.rank_cap is None:
         raise ValueError("induced ensemble needs rank_cap (the ancilla dimension)")
+    if kind in ("pure-haar", "hilbert-schmidt") and spec.rank_cap is not None:
+        raise ValueError(f"rank_cap applies only to the induced and product-of ensembles, "
+                         f"not {kind}")
     if kind == "product-of":
         if not spec.factors or len(spec.factors) != len(dims):
             raise ValueError(f"product-of needs one factor kind per site ({len(dims)} sites)")
@@ -258,7 +262,7 @@ def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
             for x in mats[1:]:
                 m = np.kron(m, x)
         else:
-            m = _draw_matrix(rng, prod(dims), kind, spec.rank_cap if kind == "induced" else None)
+            m = _draw_matrix(rng, prod(dims), kind, spec.rank_cap)
         try:
             return from_matrix(m, dims)
         except InvalidStateError:

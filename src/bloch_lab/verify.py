@@ -32,16 +32,16 @@ from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i
 from .reports import CANDIDATE_TOL, SLACK_TOL
 from .states import DensityMatrix, EnsembleSpec, random_state
 
-# name -> (applies to these site dims?, check, takes the optimizer config?),
+# name -> (applies to these site dims?, check, keyword options it takes),
 # in campaign order
 _CHECKS = {
-    "thm1i": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_i, True),
-    "thm1ii": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_ii, False),
-    "lemma5": (lambda d: len(d) == 3, check_lemma5, True),
-    "lemma6": (lambda d: len(d) == 2 and d[0] == d[1], check_lemma6, False),
-    "dim-ssa": (lambda d: len(d) >= 3, check_dim_ssa, False),
-    "subadd": (lambda d: len(d) >= 2, check_subadditivity, False),
-    "gen-pseudo": (lambda d: len(d) >= 2, check_gen_pseudo_additivity, False),
+    "thm1i": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_i, ("config",)),
+    "thm1ii": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_ii, ()),
+    "lemma5": (lambda d: len(d) == 3, check_lemma5, ("config",)),
+    "lemma6": (lambda d: len(d) == 2 and d[0] == d[1], check_lemma6, ("d_e",)),
+    "dim-ssa": (lambda d: len(d) >= 3, check_dim_ssa, ()),
+    "subadd": (lambda d: len(d) >= 2, check_subadditivity, ("q",)),
+    "gen-pseudo": (lambda d: len(d) >= 2, check_gen_pseudo_additivity, ()),
 }
 CHECK_ORDER = tuple(_CHECKS)
 
@@ -52,28 +52,25 @@ def applicable_inequalities(dims) -> tuple[str, ...]:
     return tuple(name for name, (applies, _, _) in _CHECKS.items() if applies(dims))
 
 
-def _bind(name: str, config: OptimizerConfig):
-    _, check, optimizes = _CHECKS[name]
-    return partial(check, config=config) if optimizes else check
+def _check_for(name: str, dims, **options):
+    """callable(state) -> InequalityReport of one check applicable to dims.
+
+    Of ``options`` it binds only those the check takes and that are not None;
+    a check that takes none is returned as the plain function.
+    """
+    if name not in _CHECKS:
+        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
+    applies, check, takes = _CHECKS[name]
+    if not applies(tuple(int(d) for d in dims)):
+        raise ValueError(f"inequality {name!r} is not applicable to dims {tuple(dims)}")
+    bound = {key: options[key] for key in takes if options.get(key) is not None}
+    return partial(check, **bound) if bound else check
 
 
 def make_check_table(dims, restarts: int = 8):
     """name -> callable(state) -> InequalityReport, for the checks applicable to dims."""
     config = OptimizerConfig(restarts=restarts)
-    return {name: _bind(name, config) for name in applicable_inequalities(dims)}
-
-
-def _require_applicable(name: str, dims) -> None:
-    if name not in _CHECKS:
-        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
-    if name not in applicable_inequalities(dims):
-        raise ValueError(f"inequality {name!r} is not applicable to dims {tuple(dims)}")
-
-
-def _check_for(name: str, dims, restarts: int):
-    """The callable of one check, as ``make_check_table`` would bind it."""
-    _require_applicable(name, dims)
-    return _bind(name, OptimizerConfig(restarts=restarts))
+    return {name: _check_for(name, dims, config=config) for name in applicable_inequalities(dims)}
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
     if names == ("all",) or names == "all":
         return applicable_inequalities(campaign.dims)
     for k, name in enumerate(names):
-        _require_applicable(name, campaign.dims)
+        _check_for(name, campaign.dims)  # raises on an unknown or inapplicable name
         if name in names[:k]:
             raise ValueError(f"inequality {name!r} is listed more than once")
     return tuple(names)
@@ -229,7 +226,7 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = 8) -> float:
     """Recompute a check's slack with fsum-reduced marginal purities."""
-    check = _check_for(name, state.dims, restarts)
+    check = _check_for(name, state.dims, config=OptimizerConfig(restarts=restarts))
     with _fsum_purities():
         return check(state).slack
 
@@ -276,7 +273,7 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
     of proposals fails to decrease the slack.  Every reported value is a
     genuine evaluation of an explicit state, never an extrapolation.
     """
-    check = _check_for(name, state.dims, restarts)
+    check = _check_for(name, state.dims, config=OptimizerConfig(restarts=restarts))
     cur = state
     cur_slack = check(cur).slack
     initial = cur_slack

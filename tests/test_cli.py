@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
+from bloch_lab import (EnsembleSpec, OptimizerConfig, check_dim_ssa,
+                       check_gen_pseudo_additivity, check_lemma5, check_lemma6,
+                       check_subadditivity, check_thm1_i, check_thm1_ii,
+                       dim_ssa_vs_subadd, random_state, save_state)
 from bloch_lab.cli import main
+from bloch_lab.io import report_to_jsonable
+from bloch_lab.verify import CHECK_ORDER, applicable_inequalities
 
 
 def run(capsys, *argv):
@@ -71,6 +77,46 @@ def test_three_site_partition_letters(capsys, tmp_path):
                        "--partition", "A|BE")
     assert code == 0
     assert json.loads(out)["g"] == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# check: the campaign registry, with the CLI's options
+
+
+_CHECK_FLAGS = {"subadd": ("--q", "3"), "lemma6": ("--d-e", "16"),
+                "thm1i": ("--restarts", "2", "--seed", "1"),
+                "lemma5": ("--restarts", "2", "--seed", "1")}
+
+
+@pytest.mark.parametrize("name", [*CHECK_ORDER, "dim-ssa-vs-subadd"])
+def test_check_command_matches_library_check(capsys, tmp_path, name):
+    config = OptimizerConfig(restarts=2, seed=1)
+    library = {
+        "thm1i": lambda s: check_thm1_i(s, config=config),
+        "thm1ii": check_thm1_ii,
+        "lemma5": lambda s: check_lemma5(s, config=config),
+        "lemma6": lambda s: check_lemma6(s, d_e=16),
+        "dim-ssa": check_dim_ssa,
+        "subadd": lambda s: check_subadditivity(s, q=3.0),
+        "gen-pseudo": check_gen_pseudo_additivity,
+        "dim-ssa-vs-subadd": dim_ssa_vs_subadd,
+    }[name]
+    for dims in [(2, 2), (2, 2, 2), (2, 2, 3), (3, 2, 2)]:
+        state = random_state(dims, EnsembleSpec(kind="hilbert-schmidt", seed=5))
+        state_file = tmp_path / f"{len(dims)}_{dims[0]}_{dims[-1]}.json"
+        save_state(state, state_file)
+        code, out, err = run(capsys, "check", "--state", str(state_file),
+                             "--inequality", name, *_CHECK_FLAGS.get(name, ()))
+        if name in CHECK_ORDER:
+            applicable = name in applicable_inequalities(dims)
+        else:
+            applicable = len(dims) >= 3
+        if applicable:
+            assert code == 0, (dims, err)
+            want = json.loads(json.dumps(report_to_jsonable(library(state))))
+            assert json.loads(out) == want, dims
+        else:
+            assert code == 2 and "error:" in err and not out, dims
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +267,36 @@ def test_config_defaults_and_flag_override(capsys, tmp_path):
     report = json.loads(open(out_file).read())
     assert report["samples"] == 5  # flag wins
     assert report["seed"] == 4    # config fills the gap
+
+
+def test_config_policy_applies_and_flag_wins(capsys, tmp_path):
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,2", "--seed", "1", "--out", state_file)
+    cfg = tmp_path / "cfg"
+    cfg.write_text("policy = explicit:100\n")
+    monotone = ("monotone", "--state", state_file, "--partition", "A|B")
+    code, out, _ = run(capsys, "--config", str(cfg), *monotone)
+    assert code == 0 and json.loads(out)["g"] == 100.0
+    code, out, _ = run(capsys, "--config", str(cfg), *monotone, "--policy", "explicit:50")
+    assert code == 0 and json.loads(out)["g"] == 50.0
+    # --partition is required, so a config value could never apply
+    cfg.write_text("partition = A|B\n")
+    code, out, err = run(capsys, "--config", str(cfg), *monotone)
+    assert code == 2 and "unknown config key 'partition'" in err and not out
+
+
+def test_rank_cap_needs_a_capped_ensemble(capsys, tmp_path):
+    for kind in ("hilbert-schmidt", "pure-haar"):
+        for argv in (("state", "random", "--dims", "2,2"),
+                     ("verify", "--dims", "2,2", "--samples", "2")):
+            code, out, err = run(capsys, *argv, "--ensemble", kind, "--rank-cap", "1")
+            assert code == 2 and "rank_cap" in err and not out, (kind, argv)
+    state_file = str(tmp_path / "s.json")
+    code, _, _ = run(capsys, "state", "random", "--dims", "2,2", "--ensemble", "induced",
+                     "--rank-cap", "1", "--out", state_file)
+    assert code == 0
+    code, out, _ = run(capsys, "entropy", "--state", state_file)
+    assert code == 0 and json.loads(out)["linear_entropy"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unknown_config_key(capsys, tmp_path):

@@ -186,9 +186,36 @@ def test_closed_form_matches_bisection(kind):
     assert validate_surface(kind, (2, 2), resolution=41) < 1e-9
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_surface_caps_on_arrays_match_scalar_calls(dims):
+    sa = np.linspace(0.0, 1.0 - 1.0 / dims[0], 17)
+    sb = np.linspace(0.0, 1.0 - 1.0 / dims[1], 13)
+    SA, SB = np.meshgrid(sa, sb, indexing="ij")
+    for cap in (max_sab_subadd, max_sab_genpseudo):
+        ref = np.array([[cap(float(a), float(b), dims) for b in sb] for a in sa])
+        assert cap(SA, SB, dims).tobytes() == ref.tobytes(), cap.__name__
+        assert type(cap(0.1, 0.1, dims)) is float
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("kind", ["hilbert-schmidt", "pure-haar"])
+def test_states_lie_under_both_figA_surfaces(dims, kind):
+    spec = EnsembleSpec(kind=kind, seed=0)
+    for i in range(200):
+        report = check_gen_pseudo_additivity(random_state(dims, spec, i))
+        assert report.holds, i
+        s_ab, s_a, s_b = (report.extras[k] for k in ("s_ab", "s_a", "s_b"))
+        assert s_ab <= max_sab_subadd(s_a, s_b, dims), i
+        assert s_ab <= max_sab_genpseudo(s_a, s_b, dims), i
+
+
 def test_marginal_range_is_enforced():
     with pytest.raises(ValueError):
         max_sab_subadd(0.6, 0.1, (2, 2))  # 0.6 > 1 - 1/2
+    with pytest.raises(ValueError):
+        max_sab_genpseudo(np.array([0.1, 0.6]), 0.1, (2, 2))
+    with pytest.raises(ValueError):
+        max_sab_subadd(float("nan"), 0.1, (2, 2))
     with pytest.raises(ValueError):
         classify_triple(0.1, 0.1, 0.8, (2, 2, 2))
 

@@ -31,15 +31,17 @@ def test_fig1_worst_case_endpoints():
     for d in d1.d_values:
         assert d1.excess[d][-1] == 0.0  # exactly, not approximately
         assert np.all(np.diff(d1.excess[d]) <= 1e-12)
-        assert not d1.clipped[d]
 
 
 def test_fig1_best_case_endpoints():
     db = sweep_fig1(case="best", points=101)
     assert db.excess[2][0] == pytest.approx(4.0 / 9.0)
     assert db.excess[2][-1] == 0.0
-    assert np.all(db.excess[3] >= 0.0)
-    assert db.clipped[3]  # the d=3 curve dips below the ceiling and is clipped
+    for d in db.d_values:
+        g = d * d - 1
+        assert np.all(db.excess[d] >= 0.0)
+        # exactly 0 wherever the local mass fills the room g (1 - t) left by t
+        assert np.all(db.excess[d][g * (1.0 - db.t) <= 2.0 * d - 2.0] == 0.0)
 
 
 def test_fig1_rejects_bad_arguments():
@@ -92,12 +94,10 @@ def test_fig1_csv_deterministic_and_schema(tmp_path):
     assert float(cell) == data.excess[2][0]
 
 
-def test_fig1_csv_notes_clipping(tmp_path):
-    data = sweep_fig1(case="best", points=21)
+def test_fig1_best_csv_opens_with_column_header(tmp_path):
     path = tmp_path / "c.csv"
-    write_fig1_csv(data, path, deterministic=True)
-    header = [l for l in path.read_text().splitlines() if l.startswith("#")]
-    assert any("clipped" in l for l in header)
+    write_fig1_csv(sweep_fig1(case="best", points=101), path, deterministic=True)
+    assert path.read_text().splitlines()[0] == "t,excess_d2,excess_d3,excess_d4,excess_d100"
 
 
 def test_fig1_csv_timestamps_by_default(tmp_path):

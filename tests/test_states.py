@@ -152,6 +152,15 @@ def test_induced_respects_rank_cap():
         random_state((2, 3), EnsembleSpec(kind="induced", seed=9), index=0)
 
 
+@pytest.mark.parametrize("kind", ["pure-haar", "hilbert-schmidt", "hs"])
+def test_rank_cap_rejected_for_uncapped_kinds(kind):
+    with pytest.raises(ValueError, match="rank_cap"):
+        random_state((2, 2), EnsembleSpec(kind=kind, seed=9, rank_cap=1), index=0)
+    # product-of still passes the cap to each factor
+    spec = EnsembleSpec(kind="product-of", seed=9, rank_cap=1, factors=(kind, kind))
+    assert random_state((2, 2), spec, index=0).purity() == pytest.approx(1.0)
+
+
 def test_product_of_factorizes():
     spec = EnsembleSpec(kind="product-of", seed=4,
                         factors=("pure-haar", "hilbert-schmidt"))
