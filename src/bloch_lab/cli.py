@@ -30,7 +30,7 @@ from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_
                  write_figB_csv)
 from .monotone import NormalizationPolicy, OptimizerConfig, correlation_monotone
 from .states import EnsembleSpec, partial_trace, random_state
-from .verify import CHECK_ORDER, Campaign, _check_for, run_campaign
+from .verify import _CHECKS, CHECK_ORDER, Campaign, _check_for, run_campaign
 
 _CONFIG_TYPES = {
     "seed": int, "samples": int, "restarts": int, "points": int,
@@ -196,6 +196,12 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_check(args) -> int:
     state = load_state(args.state)
+    # an explicit flag the check does not read is an error; config-file keys
+    # stay shared defaults
+    takes = () if args.inequality == "dim-ssa-vs-subadd" else _CHECKS[args.inequality][2]
+    for flag, option in (("q", "q"), ("d_e", "d_e"), ("restarts", "config"), ("seed", "config")):
+        if getattr(args, flag) is not None and option not in takes:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.inequality}")
     cfg = OptimizerConfig(restarts=_resolve(args, "restarts", 32),
                           seed=_resolve(args, "seed", _default_seed()))
     if args.inequality == "dim-ssa-vs-subadd":

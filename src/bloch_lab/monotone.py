@@ -16,10 +16,10 @@ correlation mass is
   from the state once per call.  The optimizer and the reported raw mass
   read K, the discarded mass delta reads Q's first term, and no
   coefficient tensor is built.
-  The maximum is searched by random-restart coordinate ascent over complex
-  Givens rotations of the larger site's unitary, each move solved exactly
-  (``_best_moves``), with all restarts ascending in lock-step as one
-  stacked batch (``_optimize_split``).
+  The maximum is searched from random restarts by eigen-steps: each step
+  moves P to the top-c eigenvectors of the gradient plus a fixed shift
+  that makes the step an ascent, with all restarts ascending in lock-step
+  as one stacked batch (``_optimize_split``).
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -55,16 +55,19 @@ class NormalizationPolicy:
     value: float | None = None
 
     def resolve(self, d_omega: int, d_sigma: int) -> float:
+        """g for groups of these dimensions; raises unless g > 0 (a group of dimension 1 gives 0)."""
         if self.rule == "unit-range":
-            m = min(d_omega, d_sigma)
-            return float(m * m - 1)
-        if self.rule == "separable-bound":
-            return float((d_omega - 1) * (d_sigma - 1))
-        if self.rule == "explicit":
-            if self.value is None or self.value <= 0:
-                raise ValueError(f"explicit normalization needs a positive value, got {self.value!r}")
-            return float(self.value)
-        raise ValueError(f"unknown normalization rule {self.rule!r}")
+            g = min(d_omega, d_sigma) ** 2 - 1
+        elif self.rule == "separable-bound":
+            g = (d_omega - 1) * (d_sigma - 1)
+        elif self.rule == "explicit":
+            g = self.value
+        else:
+            raise ValueError(f"unknown normalization rule {self.rule!r}")
+        if g is None or not g > 0:
+            raise ValueError(f"{self.rule} normalization needs a positive g, got {g!r} "
+                             f"for group dimensions ({d_omega}, {d_sigma})")
+        return float(g)
 
 
 def default_policy(omega, sigma) -> NormalizationPolicy:
@@ -76,11 +79,15 @@ def default_policy(omega, sigma) -> NormalizationPolicy:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Coordinate-ascent settings for the split-basis maximization."""
+    """Settings for the split-basis maximization.
+
+    ``max_sweeps`` caps the eigen-steps per restart; a restart whose step
+    gains less than ``tol`` freezes.
+    """
 
     restarts: int = 32
     max_sweeps: int = 500
-    tol: float = 1e-10
+    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -100,11 +107,11 @@ class MonotoneResult:
     columns span the selected subspace (None when no optimization ran).
     ``delta`` is the weighted coefficient mass discarded outside that
     subspace; it vanishes at the optimum for pure states.  ``heuristic_max``
-    marks optimized values on mixed states, where coordinate ascent only
+    marks optimized values on mixed states, where the ascent only
     certifies a lower bound on the true maximum.  ``sweeps`` counts the
-    lock-step sweeps the optimizer ran and ``restart_values`` holds each
-    restart's final objective value, in restart order; they stay 0 and ()
-    when no optimization ran.
+    lock-step eigen-steps the optimizer ran and ``restart_values`` holds
+    each restart's final objective value, in restart order; they stay 0
+    and () when no optimization ran.
 
     ``value`` is fixed to rounding level, but ``unitary`` and ``delta`` only
     to about sqrt(machine epsilon): the maximum is flat to second order, so
@@ -156,15 +163,11 @@ def _check_partition(state: DensityMatrix, partition):
 #          + Tr(rho_B P)^2,          N = Tr_B(rho (1xP)),
 #
 # a homogeneous quadratic form Q(P) = vec(P)^T K vec(P) with one symmetric
-# d_B^2 x d_B^2 matrix K, built once per call.  The gradient, the move forms
-# and the reported raw mass all read K.  Every step below acts on a stack of
-# restarts at once (U is an (R, d_B, d_B) array), and every product with K
-# is taken per restart, so no restart's arithmetic depends on the others.
-
-# generators G_k of a Givens move in the two-column frame
-_GENS = np.array([[[-1.0, 0.0], [0.0, 1.0]],
-                  [[0.0, 1.0], [1.0, 0.0]],
-                  [[0.0, -1.0j], [1.0j, 0.0]]], dtype=complex)
+# d_B^2 x d_B^2 matrix K, built once per call.  The gradient, the step's
+# shift and the reported raw mass all read K.  Every step below acts on a
+# stack of restarts at once (U is an (R, d_B, d_B) array), and every
+# product with K is taken per restart, so no restart's arithmetic depends
+# on the others.
 
 
 class _SplitObjective:
@@ -210,94 +213,6 @@ class _SplitObjective:
         Kp = p @ self.K
         return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real
 
-    def move_forms(self, phi: np.ndarray, U: np.ndarray, p: int, q: int):
-        """Linear and quadratic coefficients of a Givens move on columns (p, q).
-
-        The move changes P by sum_k x_k T_k, T_k = W G_k W^dag with
-        W = U[:, :, (p, q)], so its gain is a.x + x^T b x with
-        a_k = Tr(Phi T_k) and b = T K T^T, T the rows vec(T_k).  Returns
-        (a, b) stacked over restarts.
-        """
-        R, n = U.shape[0], self.dB * self.dB
-        W = U[:, :, (p, q)]
-        T = (W[:, None] @ _GENS @ W.conj().swapaxes(1, 2)[:, None]).reshape(R, 3, n)
-        a = (T @ phi.swapaxes(1, 2).reshape(R, n, 1))[:, :, 0].real
-        return a, (T @ self.K @ T.swapaxes(1, 2)).real
-
-
-_J = np.array([-1.0, 1.0, 1.0])
-_JJ = np.outer(_J, _J)
-
-
-def _best_moves(lin, quad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximize a stack of move polynomials exactly; returns (gain, theta, phi).
-
-    Each gain is a.x + x^T b x with x = (sin^2 t, sin t cos t cos f,
-    sin t cos t sin f).  Substituting x = (e_0 + J n)/2, J = diag(-1, 1, 1),
-    with the unit vector n = (cos 2t, sin 2t cos f, sin 2t sin f) turns it
-    into const + g.n + n^T M n over the sphere S^2, M = J b J / 4,
-    g = J (a + b e_0) / 2.  With M = V diag(mu) V^T the global maximizer is
-    n = V y, y_i = gamma_i / (lam - mu_i), gamma = V^T g / 2, where
-    lam >= mu_max solves the secular equation ||y(lam)|| = 1; Newton on
-    1/||y|| - 1, which is concave and increasing in lam, is safeguarded by
-    bisection.  In the hard case gamma has no component along the top
-    eigenvector and ||y(mu_max)|| <= 1: then lam = mu_max and the rest of
-    the unit length goes along the top eigenvector.  A non-positive gain
-    gives (0, 0, 0), the identity move.  Every row is solved on its own:
-    no result depends on the other rows of the stack.
-    """
-    a = np.asarray(lin, dtype=float)
-    b = np.asarray(quad, dtype=float)
-    mu, V = np.linalg.eigh(b * _JJ / 4.0)
-    top = V[:, :, 2]
-    # a fixed sign makes the hard case reproducible
-    top[top[np.arange(len(top)), np.argmax(np.abs(top), axis=1)] < 0.0] *= -1.0
-    gamma = (V.swapaxes(1, 2) @ (_J * (a + b[:, :, 0]))[:, :, None])[:, :, 0] / 4.0
-    d = mu[:, 2:] - mu  # distance below mu_max, exactly 0 for the top one
-
-    def solve(t, gamma, d):
-        # y(t) = gamma / (t + d), where a zero denominator only meets a zero numerator
-        den = t[:, None] + d
-        pos = den > 0.0
-        den = np.where(pos, den, 1.0)
-        y = np.where(pos, gamma / den, 0.0)
-        return y, np.sqrt((y * y).sum(axis=1)), den
-
-    # the root t = lam - mu_max lies in [max(0, |gamma_i| - d_i), ||gamma||]
-    lo = np.maximum(0.0, (np.abs(gamma) - d).max(axis=1))
-    y, norm, _ = solve(lo, gamma, d)
-    hard = (lo == 0.0) & (norm <= 1.0)
-    # hard case: the rest of the unit length goes along the top eigenvector
-    y[hard, 2] = np.sqrt(np.maximum(0.0, 1.0 - norm[hard] ** 2))
-    sel = np.flatnonzero(~hard)
-    if sel.size:
-        gamma, d, lo = gamma[sel], d[sel], lo[sel]
-        t, hi = lo, np.maximum(lo, np.sqrt((gamma * gamma).sum(axis=1)))
-        ys, norm, den = solve(t, gamma, d)
-        active = np.ones(sel.size, dtype=bool)
-        for _ in range(100):
-            f = 1.0 / norm - 1.0
-            hi = np.where(f >= 0.0, t, hi)
-            lo = np.where(f < 0.0, t, lo)
-            slope = (ys * ys / den).sum(axis=1) / norm ** 3
-            step = t - f / slope
-            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-            active &= (np.abs(f) > 1e-15) & (step != t)
-            if not active.any():
-                break
-            # a finished row keeps its t, so solving it again reproduces its y
-            t = np.where(active, step, t)
-            ys, norm, den = solve(t, gamma, d)
-        y[sel] = ys
-    n = (V @ y[:, :, None])[:, :, 0]
-    theta = 0.5 * np.arctan2(np.hypot(n[:, 1], n[:, 2]), n[:, 0])
-    ph = np.arctan2(n[:, 2], n[:, 1])
-    st, ct = np.sin(theta), np.cos(theta)
-    x = np.stack((st * st, st * ct * np.cos(ph), st * ct * np.sin(ph)), axis=1)
-    gain = (x * (a + (b @ x[:, :, None])[:, :, 0])).sum(axis=1)
-    move = gain > 0.0
-    return np.where(move, gain, 0.0), np.where(move, theta, 0.0), np.where(move, ph, 0.0)
-
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -312,13 +227,19 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     Restart 0 starts from the eigenvectors of rho_B in descending order,
     exact for pure states, where the top-c eigenvectors span the Schmidt
     subspace; restart r >= 1 starts from a Haar unitary seeded by
-    derive_seed(config.seed, r).  A sweep makes one Givens move on every
-    column pair (p, q), p < c <= q, for all live restarts at once.  A
-    restart whose sweep gained less than ``tol`` freezes and leaves the
-    batch; its value and U are what a run of that restart alone gives.  Q
-    at the end of a sweep is read from the gradient that also serves the
-    next sweep's first move.  ``values`` holds every restart's final Q in
-    restart order; the winner is the first restart with the largest one.
+    derive_seed(config.seed, r).  A sweep is one eigen-step of every live
+    restart: U becomes the eigenvectors, in descending order, of
+    Phi(P) + 2 sigma P at P = V V^dag, V = U[:, :, :c] (the generalized
+    power method).  For Hermitian P, Q(P) = vec(P)^dag S K vec(P) with S
+    the vec-transpose swap, so with sigma = max(0, -lambda_min(S K)) the
+    function Q(P) + sigma ||P||^2 is convex, and on projectors it differs
+    from Q by the constant sigma c.  Its linearization at P is maximized by
+    the top-c eigenspace of Phi + 2 sigma P (Ky Fan), so no step lowers Q.
+    A restart whose step gained less than ``tol`` freezes and leaves the
+    batch with the Q of its last U, which is what a run of that restart
+    alone gives.  Q after a step is read from the gradient that also serves the next step.
+    ``values`` holds every restart's final Q in restart order; the winner
+    is the first restart with the largest one.
     """
     c, dB, R = obj.c, obj.dB, config.restarts
     w, vecs = np.linalg.eigh(obj.rho_B)
@@ -329,23 +250,18 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     values, final_U = np.empty(R), np.empty_like(U)
     converged = np.zeros(R, dtype=bool)
     live = np.arange(R)
-    pairs = [(p, q) for p in range(c) for q in range(c, dB)]
+    # S K is K with its rows permuted by the swap (m, n) -> (n, m)
+    swap = np.arange(dB * dB).reshape(dB, dB).T.ravel()
+    sigma = max(0.0, -float(np.linalg.eigvalsh(obj.K[swap])[0]))
     phi, prev = obj.gradient(U)
     sweeps = 0
     while live.size and sweeps < config.max_sweeps:
         sweeps += 1
-        for k, (p, q) in enumerate(pairs):
-            if k:
-                phi, _ = obj.gradient(U)
-            _, theta, ph = _best_moves(*obj.move_forms(phi, U, p, q))
-            # a declined move has theta = ph = 0 and leaves the columns exactly as they are
-            ct, st = np.cos(theta)[:, None], np.sin(theta)[:, None]
-            e = np.exp(1j * ph)[:, None]
-            u, v = U[:, :, p], U[:, :, q]
-            U[:, :, p], U[:, :, q] = ct * u + e * st * v, -np.conj(e) * st * u + ct * v
+        V = U[:, :, :c]
+        U = np.linalg.eigh(phi + 2.0 * sigma * (V @ V.conj().swapaxes(1, 2)))[1][:, :, ::-1]
         phi, cur = obj.gradient(U)
         done = cur - prev < config.tol
-        values[live[done]] = np.maximum(cur, prev)[done]
+        values[live[done]] = cur[done]
         final_U[live[done]] = U[done]
         converged[live[done]] = True
         keep = ~done

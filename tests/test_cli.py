@@ -119,6 +119,18 @@ def test_check_command_matches_library_check(capsys, tmp_path, name):
             assert code == 2 and "error:" in err and not out, dims
 
 
+@pytest.mark.parametrize("name, flags", [("gen-pseudo", ("--q", "3")),
+                                         ("subadd", ("--d-e", "16")),
+                                         ("thm1ii", ("--restarts", "2")),
+                                         ("dim-ssa-vs-subadd", ("--seed", "1"))])
+def test_check_rejects_flags_the_check_does_not_read(capsys, tmp_path, name, flags):
+    state_file = tmp_path / "s.json"
+    save_state(random_state((2, 2, 2), EnsembleSpec(kind="hilbert-schmidt", seed=5)), state_file)
+    code, out, err = run(capsys, "check", "--state", str(state_file), "--inequality", name, *flags)
+    assert code == 2 and not out
+    assert f"{flags[0]} does not apply to {name}" in err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -159,6 +171,19 @@ def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
         code, out, err = run(capsys, *argv, "--restarts", restarts)
         assert code == 2, argv
         assert "restarts" in err and not out, argv
+
+
+def test_group_of_dimension_one_is_usage_error(capsys, tmp_path):
+    # the monotone's normalization is 0 there; no traceback, no exit 1
+    pair, triple = str(tmp_path / "pair.json"), str(tmp_path / "triple.json")
+    run(capsys, "state", "random", "--dims", "1,2", "--seed", "1", "--out", pair)
+    run(capsys, "state", "random", "--dims", "2,2,1", "--seed", "1", "--out", triple)
+    for argv in (("monotone", "--state", pair, "--partition", "A|B"),
+                 ("check", "--state", triple, "--inequality", "thm1ii"),
+                 ("verify", "--dims", "2,2,1", "--samples", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert "positive g" in err and not out, argv
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

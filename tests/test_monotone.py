@@ -14,7 +14,7 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (_fsum_purities, bases_with_split, bloch_coefficients,
                                    cross_norm_sum, split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import _best_moves, _haar_unitary, _SplitObjective
+from bloch_lab.monotone import _SplitObjective
 
 
 def hs_state(dims, seed, index=0):
@@ -132,85 +132,6 @@ def test_reported_split_numbers_match_split_basis_sector_norms(dims):
 
 
 # ---------------------------------------------------------------------------
-# Givens move model and its exact maximizer
-
-
-def _random_moves(dims, seed, n_states=8):
-    """Every column-pair move of Haar U on HS states, with its forms stacked.
-
-    Returns ((objective, U, p, q) per move, lin (M, 3), quad (M, 3, 3)).
-    """
-    rng = np.random.default_rng(seed)
-    moves, lin, quad = [], [], []
-    for i in range(n_states):
-        st = hs_state(dims, seed=seed, index=i)
-        obj = _SplitObjective(st.matrix, dims[0], dims[1], small_first=True)
-        U = _haar_unitary(dims[1], rng)
-        phi, _ = obj.gradient(U[None])
-        for p in range(dims[0]):
-            for q in range(dims[0], dims[1]):
-                a, b = obj.move_forms(phi, U[None], p, q)
-                moves.append((obj, U, p, q))
-                lin.append(a[0])
-                quad.append(b[0])
-    return moves, np.array(lin), np.array(quad)
-
-
-@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
-def test_move_gain_equals_objective_change(dims):
-    moves, lin, quad = _random_moves(dims, seed=83)
-    for (obj, U, p, q), gain, theta, ph in zip(moves, *_best_moves(lin, quad)):
-        # u' = cos(theta) u + e^{i ph} sin(theta) v, v' orthogonal to it
-        e = np.exp(1j * ph)
-        moved = U.copy()
-        moved[:, p] = np.cos(theta) * U[:, p] + e * np.sin(theta) * U[:, q]
-        moved[:, q] = -np.conj(e) * np.sin(theta) * U[:, p] + np.cos(theta) * U[:, q]
-        P = U[:, :obj.c] @ U[:, :obj.c].conj().T
-        P_new = moved[:, :obj.c] @ moved[:, :obj.c].conj().T
-        assert gain == pytest.approx(obj.value(P_new) - obj.value(P), abs=1e-12)
-
-
-def _move_polynomial(lin, quad, theta, ph):
-    s, t = np.sin(theta) ** 2, np.sin(theta) * np.cos(theta)
-    x = np.stack(np.broadcast_arrays(s, t * np.cos(ph), t * np.sin(ph)), axis=-1)
-    return x @ np.asarray(lin) + np.einsum("...i,ij,...j->...", x, quad, x)
-
-
-@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
-def test_best_move_beats_dense_grid(dims):
-    theta = np.linspace(0.0, np.pi, 181)[:, None]
-    ph = np.linspace(0.0, 2.0 * np.pi, 361)[None, :]
-    _, lin, quad = _random_moves(dims, seed=89)
-    for a, b, gain, th, f in zip(lin, quad, *_best_moves(lin, quad)):
-        assert gain >= _move_polynomial(a, b, theta, ph).max() - 1e-12
-        assert gain == pytest.approx(_move_polynomial(a, b, th, f), abs=1e-14)
-        # an exact maximizer is a stationary point, which a grid search is not
-        h = 1e-5
-        d_th = _move_polynomial(a, b, th + h, f) - _move_polynomial(a, b, th - h, f)
-        d_ph = _move_polynomial(a, b, th, f + h) - _move_polynomial(a, b, th, f - h)
-        assert abs(d_th) / (2 * h) <= 1e-8 and abs(d_ph) / (2 * h) <= 1e-8
-
-
-# zero linear term and an off-axis top eigenvector (the hard case: the
-# secular equation has no root above the top eigenvalue), then the zero form
-EDGE_LIN = np.zeros((2, 3))
-EDGE_QUAD = np.stack((np.diag([0.0, 1.0, 0.5]), np.zeros((3, 3))))
-
-
-def test_best_move_hard_case():
-    gains, thetas, phs = _best_moves(EDGE_LIN, EDGE_QUAD)
-    gain, theta, ph = gains[0], thetas[0], phs[0]
-    assert gain == pytest.approx(0.25, abs=1e-15)
-    assert theta == pytest.approx(np.pi / 4, abs=1e-12)
-    assert ph == pytest.approx(0.0, abs=1e-12)
-
-
-def test_best_move_zero_form_is_identity():
-    gains, thetas, phs = _best_moves(EDGE_LIN, EDGE_QUAD)
-    assert (gains[1], thetas[1], phs[1]) == (0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # optimizer against the pure-state oracle
 
 
@@ -310,6 +231,38 @@ def test_sweep_budget_exhausted_reports_not_converged():
     assert not r.converged
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4)])
+def test_restart_values_never_drop_with_more_sweeps(dims):
+    # each eigen-step maximizes a convex surrogate that differs from Q by a
+    # constant on projectors; without the shift sigma, steps here lower
+    # restart values by up to 3.7e-3
+    for i in range(6):
+        s = hs_state(dims, seed=11, index=i)
+        prev = None
+        for k in range(1, 25):
+            cfg = OptimizerConfig(restarts=8, seed=0, max_sweeps=k)
+            values = correlation_monotone(s, ((0,), (1,)), config=cfg).restart_values
+            if prev is not None:
+                assert all(v >= p - 1e-14 for v, p in zip(values, prev)), (dims, i, k)
+            prev = values
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4), (4, 2)])
+def test_returned_subspace_is_stationary(dims):
+    # at a maximum over rank-c projectors the gradient Phi has no block
+    # (1 - P) Phi P coupling the selected subspace to its complement
+    c, d = min(dims), max(dims)
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    for i in range(4):
+        s = hs_state(dims, seed=43, index=i)
+        r = correlation_monotone(s, ((0,), (1,)), config=cfg)
+        obj = _SplitObjective(s.matrix, c, d, small_first=dims[0] < dims[1])
+        phi, _ = obj.gradient(r.unitary[None])
+        V = r.unitary[:, :c]
+        P = V @ V.conj().T
+        assert np.abs((np.eye(d) - P) @ phi[0] @ P).max() <= 1e-5, (dims, i)
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4)])
 def test_best_restart_value_is_reported_raw(dims):
     cfg = OptimizerConfig(restarts=4, seed=0)
@@ -400,6 +353,23 @@ def test_policy_rules():
     assert sep.g == pytest.approx(1.0)  # (d_A - 1)(d_B - 1)
     with pytest.raises(ValueError):
         NormalizationPolicy("explicit").resolve(2, 2)
+
+
+def test_group_of_dimension_one_is_rejected():
+    # such a group carries no correlation, and both dimension rules give g = 0
+    for rule, dims in (("unit-range", (1, 2)), ("unit-range", (3, 1)),
+                       ("separable-bound", (1, 3)), ("separable-bound", (2, 1))):
+        with pytest.raises(ValueError, match="positive g"):
+            NormalizationPolicy(rule).resolve(*dims)
+    s = haar_pure((1, 2), seed=3)
+    with pytest.raises(ValueError, match="positive g"):
+        correlation_monotone(s, ((0,), (1,)))
+    with pytest.raises(ValueError, match="positive g"):
+        monotone_pure_exact(s)
+    s3 = hs_state((2, 2, 1), seed=3)
+    for check in (check_thm1_i, check_thm1_ii):
+        with pytest.raises(ValueError, match="positive g"):
+            check(s3)
 
 
 def test_composite_group_uses_separable_bound_default():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +149,35 @@ def test_counterexample_dump_layout(tmp_path):
     # the dumped matrix reconstructs to a valid state
     from bloch_lab.io import state_from_jsonable
     from_matrix(state_from_jsonable(payload["state"]).matrix, (2, 2))
+
+
+def test_candidates_are_rechecked_and_dumped_in_index_order(tmp_path, monkeypatch, capsys):
+    # a check whose slack is -1e-3 on every state: each sample is a violation
+    # and a candidate, the precise re-check confirms it, and it is dumped
+    from bloch_lab import verify
+    from bloch_lab.cli import main
+    from bloch_lab.reports import report_from_sides
+
+    monkeypatch.setitem(verify._CHECKS, "subadd",
+                        (lambda d: True, lambda state: report_from_sides("subadd", 1e-3, 0.0), ()))
+    c = Campaign(dims=(2, 2), ensemble=hs(3), inequalities=("subadd",), samples=4,
+                 out_dir=str(tmp_path / "lib"))
+    st = run_campaign(c).stats["subadd"]
+    assert st.violations == st.candidates == c.samples
+    assert st.min_slack == -1e-3
+    assert len(st.counterexample_files) == c.samples
+    assert sorted(str(p) for p in (tmp_path / "lib").iterdir()) == sorted(st.counterexample_files)
+    for i, path in enumerate(st.counterexample_files):
+        payload = json.loads(open(path).read())
+        assert payload["sample_index"] == i
+        assert payload["slack"] == payload["precise_slack"] == -1e-3
+    # the CLI reports the same run with exit 1 and writes the same files
+    code = main(["verify", "--dims", "2,2", "--samples", "4", "--seed", "3",
+                 "--inequalities", "subadd", "--out-dir", str(tmp_path / "cli")])
+    assert code == 1
+    files = json.loads(capsys.readouterr().out)["checks"]["subadd"]["counterexample_files"]
+    assert sorted(str(p) for p in (tmp_path / "cli").iterdir()) == sorted(files)
+    assert [Path(p).name for p in files] == [Path(p).name for p in st.counterexample_files]
 
 
 # ---------------------------------------------------------------------------
