@@ -19,7 +19,9 @@ correlation mass is
   The maximum is searched from random restarts by eigen-steps: each step
   moves P to the top-c eigenvectors of the gradient plus a fixed shift
   that makes the step an ascent, with all restarts ascending in lock-step
-  as one stacked batch (``_optimize_split``).
+  as one stacked batch (``_optimize_split``).  The last few solves are
+  memoized on the reduced matrix and the optimizer settings
+  (``_solve_split``), so re-checking a state repeats no ascent.
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -30,6 +32,7 @@ The reported value divides the raw mass by a normalization g chosen by a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite, prod
 from numbers import Integral
 
@@ -41,6 +44,9 @@ from .reports import SLACK_TOL, InequalityReport, report_from_sides
 from .states import DensityMatrix, derive_seed, partial_trace
 
 PURE_TOL = 1e-10
+# split solves kept by _solve_split: enough for one campaign sample's solves
+# and their precise re-check, far fewer than a sweep over many states
+SPLIT_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -207,11 +213,17 @@ class _SplitObjective:
         Phi = 2 reshape(K vec P)^T, and Q(P) = vec(P)^T K vec(P) is
         returned with it.
         """
+        phi, q, _ = self._gradient(U)
+        return phi, q
+
+    def _gradient(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``gradient`` plus the projectors P it was taken at, for the eigen-step."""
         R, dB = U.shape[0], self.dB
         V = U[:, :, :self.c]
-        p = (V @ V.conj().swapaxes(1, 2)).reshape(R, 1, dB * dB)
+        P = V @ V.conj().swapaxes(1, 2)
+        p = P.reshape(R, 1, dB * dB)
         Kp = p @ self.K
-        return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real
+        return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real, P
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -241,7 +253,7 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     ``values`` holds every restart's final Q in restart order; the winner
     is the first restart with the largest one.
     """
-    c, dB, R = obj.c, obj.dB, config.restarts
+    dB, R = obj.dB, config.restarts
     w, vecs = np.linalg.eigh(obj.rho_B)
     U = np.empty((R, dB, dB), dtype=complex)
     U[0] = vecs[:, np.argsort(-w)]
@@ -253,19 +265,20 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     # S K is K with its rows permuted by the swap (m, n) -> (n, m)
     swap = np.arange(dB * dB).reshape(dB, dB).T.ravel()
     sigma = max(0.0, -float(np.linalg.eigvalsh(obj.K[swap])[0]))
-    phi, prev = obj.gradient(U)
+    phi, prev, P = obj._gradient(U)
     sweeps = 0
     while live.size and sweeps < config.max_sweeps:
         sweeps += 1
-        V = U[:, :, :c]
-        U = np.linalg.eigh(phi + 2.0 * sigma * (V @ V.conj().swapaxes(1, 2)))[1][:, :, ::-1]
-        phi, cur = obj.gradient(U)
+        U = np.linalg.eigh(phi + 2.0 * sigma * P)[1][:, :, ::-1]
+        phi, cur, P = obj._gradient(U)
         done = cur - prev < config.tol
-        values[live[done]] = cur[done]
-        final_U[live[done]] = U[done]
-        converged[live[done]] = True
-        keep = ~done
-        live, U, phi, prev = live[keep], U[keep], phi[keep], cur[keep]
+        if done.any():
+            values[live[done]] = cur[done]
+            final_U[live[done]] = U[done]
+            converged[live[done]] = True
+            keep = ~done
+            live, U, phi, P, cur = live[keep], U[keep], phi[keep], P[keep], cur[keep]
+        prev = cur
     # restarts still live ran out of sweeps
     values[live] = prev
     final_U[live] = U
@@ -303,24 +316,42 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
 
     # single site vs single site, unequal dimensions: optimize the split
     state = partial_trace(state, considered)
-    dims = state.dims
     omega, sigma = omega_r, sigma_r
     small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
-    small_first = small_site < large_site
-    d_small = dims[small_site]
-    d_large = dims[large_site]
-    obj = _SplitObjective(state.matrix, d_small, d_large, small_first)
     config = config or OptimizerConfig()
-    values, U, converged, sweeps = _optimize_split(obj, config)
-    raw = float(values.max())
+    values, U, converged, sweeps, compressed = _solve_split(
+        state.matrix.tobytes(), state.dims[small_site], state.dims[large_site],
+        small_site < large_site, config)
+    raw = max(values)
     # (c/(d_B - c)) times the split-basis mass outside the low joint block,
     # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
-    V = U[:, :d_small]
-    delta = d_small * d_small * (state.purity() - obj.compressed_purity(V @ V.conj().T))
+    c = state.dims[small_site]
+    delta = c * c * (state.purity() - compressed)
     return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
-                          restarts=config.restarts, delta=float(delta),
+                          restarts=config.restarts, delta=delta,
                           heuristic_max=not state.is_pure(), unitary=U, partition=(omega, sigma),
-                          sweeps=sweeps, restart_values=tuple(values.tolist()))
+                          sweeps=sweeps, restart_values=values)
+
+
+@lru_cache(maxsize=SPLIT_MEMO_SIZE)
+def _solve_split(matrix: bytes, d_small: int, d_large: int, small_first: bool,
+                 config: OptimizerConfig) -> tuple[tuple[float, ...], np.ndarray, bool, int, float]:
+    """(restart values, best U, converged, sweeps, Tr(((1xP) rho (1xP))^2)) of one split solve.
+
+    The solve is deterministic in its arguments: the bytes of the reduced
+    two-site complex matrix, the two dimensions, the site order and the
+    frozen config.  It reads no marginal purities, so the fsum re-check
+    gets the same answer, and a campaign's precise re-check of a sample
+    hits the memo instead of re-running the optimizer.  The cached U is
+    read-only.
+    """
+    n = d_small * d_large
+    obj = _SplitObjective(np.frombuffer(matrix, dtype=complex).reshape(n, n),
+                          d_small, d_large, small_first)
+    values, U, converged, sweeps = _optimize_split(obj, config)
+    V = U[:, :d_small]
+    U.setflags(write=False)
+    return tuple(values.tolist()), U, converged, sweeps, obj.compressed_purity(V @ V.conj().T)
 
 
 def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None = None) -> float:

@@ -98,7 +98,11 @@ class Campaign:
 
 @dataclass
 class CheckStats:
-    """Aggregated slacks of one check over a campaign."""
+    """Aggregated slacks of one check over a campaign.
+
+    ``seconds`` is the wall-clock time spent in the check over all samples,
+    precise re-checks not included.
+    """
 
     samples: int
     violations: int
@@ -106,6 +110,7 @@ class CheckStats:
     min_slack: float
     argmin_index: int
     counterexample_files: list[str] = field(default_factory=list)
+    seconds: float = 0.0
 
 
 @dataclass
@@ -124,6 +129,7 @@ class CampaignReport:
         return sum(s.violations for s in self.stats.values())
 
     def to_jsonable(self, deterministic: bool = False) -> dict:
+        """The report as JSON; ``deterministic`` drops the wall-clock fields."""
         out = {
             "dims": list(self.dims),
             "ensemble": self.ensemble_kind,
@@ -145,6 +151,8 @@ class CampaignReport:
         }
         if not deterministic:
             out["wall_clock_s"] = self.wall_clock
+            for name, st in self.stats.items():
+                out["checks"][name]["seconds"] = st.seconds
         return out
 
 
@@ -167,32 +175,35 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     t0 = time.perf_counter()
 
     slacks_by_check: dict[str, list[float]] = {name: [] for name in checks}
+    seconds = dict.fromkeys(checks, 0.0)
+    ce_files: dict[str, list[str]] = {name: [] for name in checks}
     for i in range(campaign.samples):
         state = random_state(campaign.dims, campaign.ensemble, index=i)
         for name in checks:
+            start = time.perf_counter()
             slack = table[name](state).slack
-            slacks_by_check[name].append(-slack if campaign.negate else slack)
+            seconds[name] += time.perf_counter() - start
+            if campaign.negate:
+                slack = -slack
+            elif slack < -CANDIDATE_TOL:
+                # re-checked at once, while this sample's split solves are memoized
+                precise = precise_slack(name, state, restarts=campaign.restarts)
+                if precise < -CANDIDATE_TOL:
+                    ce_files[name].append(_dump_counterexample(campaign, name, i, state,
+                                                               slack, precise))
+            slacks_by_check[name].append(slack)
 
     stats: dict[str, CheckStats] = {}
     for name, slacks in slacks_by_check.items():
-        violations = sum(1 for s in slacks if s < -SLACK_TOL)
-        cand_idx = [i for i, s in enumerate(slacks) if s < -CANDIDATE_TOL]
         min_i = min(range(len(slacks)), key=lambda i: (slacks[i], i))
-        ce_files: list[str] = []
-        if not campaign.negate:
-            for i in cand_idx:
-                state = random_state(campaign.dims, campaign.ensemble, index=i)
-                precise = precise_slack(name, state, restarts=campaign.restarts)
-                if precise < -CANDIDATE_TOL:
-                    ce_files.append(_dump_counterexample(campaign, name, i, state,
-                                                        slacks[i], precise))
         stats[name] = CheckStats(
             samples=campaign.samples,
-            violations=violations,
-            candidates=len(cand_idx),
+            violations=sum(1 for s in slacks if s < -SLACK_TOL),
+            candidates=sum(1 for s in slacks if s < -CANDIDATE_TOL),
             min_slack=float(slacks[min_i]),
             argmin_index=min_i,
-            counterexample_files=ce_files,
+            counterexample_files=ce_files[name],
+            seconds=seconds[name],
         )
     return CampaignReport(
         dims=tuple(campaign.dims),
@@ -221,7 +232,7 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # same checks with each purity's sum of squares reduced by math.fsum, so a
 # candidate cannot be an artifact of naive accumulation order.  The split
 # optimizer (thm1i and lemma5 between sites of unequal dimension) reads no
-# purities and repeats its standard evaluation.
+# purities; its re-check returns the memoized standard solve.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = 8) -> float:

@@ -14,7 +14,7 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (_fsum_purities, bases_with_split, bloch_coefficients,
                                    cross_norm_sum, split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import _SplitObjective
+from bloch_lab.monotone import SPLIT_MEMO_SIZE, _solve_split, _SplitObjective
 
 
 def hs_state(dims, seed, index=0):
@@ -276,6 +276,52 @@ def test_best_restart_value_is_reported_raw(dims):
 def test_closed_path_reports_no_sweeps():
     r = correlation_monotone(hs_state((2, 2), seed=9), ((0,), (1,)))
     assert (r.sweeps, r.restart_values) == (0, ())
+
+
+# ---------------------------------------------------------------------------
+# memoized split solves
+
+
+def test_memo_hit_equals_fresh_solve():
+    s = hs_state((2, 3), seed=61)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    _solve_split.cache_clear()
+    fresh = correlation_monotone(s, ((0,), (1,)), config=cfg)
+    assert _solve_split.cache_info().misses == 1
+    copied = from_matrix(s.matrix.copy(), s.dims)
+    hit = correlation_monotone(copied, ((0,), (1,)), config=cfg)
+    assert _solve_split.cache_info().hits == 1
+    for name in ("value", "raw", "delta", "sweeps", "restart_values", "converged"):
+        assert getattr(hit, name) == getattr(fresh, name), name
+    assert hit.unitary.tobytes() == fresh.unitary.tobytes()
+
+
+def test_cached_unitary_is_read_only():
+    r = correlation_monotone(hs_state((2, 4), seed=61), ((0,), (1,)),
+                             config=OptimizerConfig(restarts=2, seed=0))
+    with pytest.raises(ValueError):
+        r.unitary[0, 0] = 0.0
+
+
+def test_other_restarts_or_seed_miss_the_memo():
+    s = hs_state((2, 3), seed=62)
+    _solve_split.cache_clear()
+    for cfg in (OptimizerConfig(restarts=4, seed=0), OptimizerConfig(restarts=5, seed=0),
+                OptimizerConfig(restarts=4, seed=1)):
+        correlation_monotone(s, ((0,), (1,)), config=cfg)
+    assert (_solve_split.cache_info().hits, _solve_split.cache_info().misses) == (0, 3)
+
+
+def test_memo_is_bounded():
+    cfg = OptimizerConfig(restarts=1, seed=0)
+    _solve_split.cache_clear()
+    assert _solve_split.cache_info().maxsize == SPLIT_MEMO_SIZE <= 16
+    for i in range(SPLIT_MEMO_SIZE + 1):
+        correlation_monotone(hs_state((2, 3), seed=63, index=i), ((0,), (1,)), config=cfg)
+    assert _solve_split.cache_info().currsize == SPLIT_MEMO_SIZE
+    # the oldest solve was evicted, so solving it again runs the optimizer
+    correlation_monotone(hs_state((2, 3), seed=63, index=0), ((0,), (1,)), config=cfg)
+    assert _solve_split.cache_info().misses == SPLIT_MEMO_SIZE + 2
 
 
 @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -5}, {"restarts": 2.5},

@@ -83,6 +83,10 @@ def test_wall_clock_only_in_live_reports():
     rep = run_campaign(Campaign(dims=(2, 2), ensemble=hs(1), samples=5))
     assert "wall_clock_s" in rep.to_jsonable(deterministic=False)
     assert "wall_clock_s" not in rep.to_jsonable(deterministic=True)
+    # per-check time is a wall-clock field too
+    live = rep.to_jsonable(deterministic=False)["checks"]
+    assert all(live[name]["seconds"] == st.seconds > 0.0 for name, st in rep.stats.items())
+    assert all("seconds" not in c for c in rep.to_jsonable(deterministic=True)["checks"].values())
 
 
 def test_negation_control_trips_every_check():
@@ -128,6 +132,26 @@ def test_precise_slack_matches_standard(name):
             s = random_state(dims, hs(1), index=i)
             std = table[name](s).slack
             assert precise_slack(name, s, restarts=2) == pytest.approx(std, abs=1e-10), (dims, i)
+
+
+def test_precise_recheck_after_campaign_reuses_the_split_solves(monkeypatch):
+    # (2, 2, 3) thm1i runs two split solves per sample; re-checking the
+    # campaign's argmin right after it finds both in the memo
+    from bloch_lab import monotone
+
+    campaign = Campaign(dims=(2, 2, 3), ensemble=hs(8), samples=3, restarts=8)
+    st = run_campaign(campaign).stats["thm1i"]
+    calls = []
+    solve = monotone._optimize_split
+    monkeypatch.setattr(monotone, "_optimize_split",
+                        lambda *args: calls.append(args) or solve(*args))
+    state = random_state(campaign.dims, campaign.ensemble, index=st.argmin_index)
+    precise = precise_slack("thm1i", state, restarts=campaign.restarts)
+    assert precise == pytest.approx(st.min_slack, abs=1e-10)
+    assert calls == []
+    # the spy does see solves that are not memoized
+    precise_slack("thm1i", state, restarts=3)
+    assert len(calls) == 2
 
 
 def test_precise_slack_unknown_name():
@@ -178,6 +202,25 @@ def test_candidates_are_rechecked_and_dumped_in_index_order(tmp_path, monkeypatc
     files = json.loads(capsys.readouterr().out)["checks"]["subadd"]["counterexample_files"]
     assert sorted(str(p) for p in (tmp_path / "cli").iterdir()) == sorted(files)
     assert [Path(p).name for p in files] == [Path(p).name for p in st.counterexample_files]
+
+
+def test_candidates_are_rechecked_from_the_memo(tmp_path, monkeypatch):
+    # with every slack a candidate, each sample is re-checked right after its
+    # own checks and reuses their split solves: two solves per (2, 2, 3)
+    # sample, although the campaign makes more solves than the memo holds
+    from bloch_lab import monotone, verify
+
+    monkeypatch.setattr(verify, "CANDIDATE_TOL", -10.0)
+    calls = []
+    solve = monotone._optimize_split
+    monkeypatch.setattr(monotone, "_optimize_split",
+                        lambda *args: calls.append(args) or solve(*args))
+    monotone._solve_split.cache_clear()
+    c = Campaign(dims=(2, 2, 3), ensemble=hs(9), inequalities=("thm1i",),
+                 samples=monotone.SPLIT_MEMO_SIZE, out_dir=str(tmp_path))
+    st = run_campaign(c).stats["thm1i"]
+    assert st.candidates == len(st.counterexample_files) == c.samples
+    assert len(calls) == 2 * c.samples
 
 
 # ---------------------------------------------------------------------------
