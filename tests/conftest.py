@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from bloch_lab import random_state
+from bloch_lab.monotone import _solve_split
 from bloch_lab.reports import CANDIDATE_TOL, SLACK_TOL
 from bloch_lab.verify import make_check_table
 
@@ -16,6 +17,8 @@ def _stats_match_reverse_order(campaign, report) -> bool:
     if tuple(report.stats) != report.inequalities:
         return False
     table = make_check_table(campaign.dims, restarts=campaign.restarts)
+    # every reference split solve runs afresh, in reverse order
+    _solve_split.cache_clear()
     slacks = {name: [0.0] * campaign.samples for name in report.inequalities}
     for i in reversed(range(campaign.samples)):
         state = random_state(campaign.dims, campaign.ensemble, index=i)
@@ -29,6 +32,12 @@ def _stats_match_reverse_order(campaign, report) -> bool:
         if (st.violations, st.candidates, st.min_slack.hex(), st.argmin_index) != want:
             return False
     return True
+
+
+@pytest.fixture(autouse=True)
+def fresh_split_memo():
+    """No test reads split solves memoized by an earlier test."""
+    _solve_split.cache_clear()
 
 
 @pytest.fixture

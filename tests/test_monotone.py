@@ -92,7 +92,7 @@ def test_objective_equals_rotated_low_joint_mass(seed):
     sn = split_sector_norms(
         bloch_coefficients(rotated, bases_with_split((2, 4), 1, 2)))
     assert obj.value(proj) == pytest.approx(sn.low_joint, abs=1e-12)
-    phi, q0 = obj.gradient(u[None])
+    phi, q0, _ = obj.gradient(u[None])
     assert q0[0] == pytest.approx(obj.value(proj), abs=1e-12)
     np.testing.assert_allclose(phi[0], phi[0].conj().T, atol=1e-12)
 
@@ -257,7 +257,7 @@ def test_returned_subspace_is_stationary(dims):
         s = hs_state(dims, seed=43, index=i)
         r = correlation_monotone(s, ((0,), (1,)), config=cfg)
         obj = _SplitObjective(s.matrix, c, d, small_first=dims[0] < dims[1])
-        phi, _ = obj.gradient(r.unitary[None])
+        phi, _, _ = obj.gradient(r.unitary[None])
         V = r.unitary[:, :c]
         P = V @ V.conj().T
         assert np.abs((np.eye(d) - P) @ phi[0] @ P).max() <= 1e-5, (dims, i)
@@ -285,7 +285,6 @@ def test_closed_path_reports_no_sweeps():
 def test_memo_hit_equals_fresh_solve():
     s = hs_state((2, 3), seed=61)
     cfg = OptimizerConfig(restarts=4, seed=0)
-    _solve_split.cache_clear()
     fresh = correlation_monotone(s, ((0,), (1,)), config=cfg)
     assert _solve_split.cache_info().misses == 1
     copied = from_matrix(s.matrix.copy(), s.dims)
@@ -305,7 +304,6 @@ def test_cached_unitary_is_read_only():
 
 def test_other_restarts_or_seed_miss_the_memo():
     s = hs_state((2, 3), seed=62)
-    _solve_split.cache_clear()
     for cfg in (OptimizerConfig(restarts=4, seed=0), OptimizerConfig(restarts=5, seed=0),
                 OptimizerConfig(restarts=4, seed=1)):
         correlation_monotone(s, ((0,), (1,)), config=cfg)
@@ -314,7 +312,6 @@ def test_other_restarts_or_seed_miss_the_memo():
 
 def test_memo_is_bounded():
     cfg = OptimizerConfig(restarts=1, seed=0)
-    _solve_split.cache_clear()
     assert _solve_split.cache_info().maxsize == SPLIT_MEMO_SIZE <= 16
     for i in range(SPLIT_MEMO_SIZE + 1):
         correlation_monotone(hs_state((2, 3), seed=63, index=i), ((0,), (1,)), config=cfg)

@@ -135,11 +135,11 @@ def test_precise_slack_matches_standard(name):
 
 
 def test_precise_recheck_after_campaign_reuses_the_split_solves(monkeypatch):
-    # (2, 2, 3) thm1i runs two split solves per sample; re-checking the
-    # campaign's argmin right after it finds both in the memo
+    # (2, 2, 3) thm1i runs two split solves per sample; re-checking a
+    # 1-sample campaign's argmin right after it finds both in the memo
     from bloch_lab import monotone
 
-    campaign = Campaign(dims=(2, 2, 3), ensemble=hs(8), samples=3, restarts=8)
+    campaign = Campaign(dims=(2, 2, 3), ensemble=hs(8), samples=1, restarts=8)
     st = run_campaign(campaign).stats["thm1i"]
     calls = []
     solve = monotone._optimize_split
@@ -215,7 +215,6 @@ def test_candidates_are_rechecked_from_the_memo(tmp_path, monkeypatch):
     solve = monotone._optimize_split
     monkeypatch.setattr(monotone, "_optimize_split",
                         lambda *args: calls.append(args) or solve(*args))
-    monotone._solve_split.cache_clear()
     c = Campaign(dims=(2, 2, 3), ensemble=hs(9), inequalities=("thm1i",),
                  samples=monotone.SPLIT_MEMO_SIZE, out_dir=str(tmp_path))
     st = run_campaign(c).stats["thm1i"]
