@@ -15,17 +15,15 @@ coefficient mass of the subset-v slices.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import combinations
-from math import fsum, prod
+from math import prod
 
 import numpy as np
 
 from .basis import OperatorBasis, gellmann_basis, split_basis
 from .errors import NumericError
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix, _check_sites
 
 IMAG_TOL = 1e-8
 
@@ -121,23 +119,13 @@ def bloch_coefficients(state: DensityMatrix, bases=None) -> BlochCoefficients:
     return BlochCoefficients(bases=bases, array=np.ascontiguousarray(arr.real))
 
 
-def _check_subset(coeffs: BlochCoefficients, subset) -> tuple[int, ...]:
-    n = coeffs.n_sites
-    v = tuple(sorted(int(s) for s in subset))
-    if not v:
-        raise ValueError("invalid subset: empty")
-    if len(set(v)) != len(v) or any(not 0 <= s < n for s in v):
-        raise ValueError(f"invalid subset {subset!r} for {n} sites")
-    return v
-
-
 def tensor_norm_sq(coeffs: BlochCoefficients, subset) -> float:
     """||T^v||^2: squared mass of the slice with indices >= 1 exactly on v.
 
     Sites outside v sit at index 0 (for a split site that is the low
     sub-identity).
     """
-    v = _check_subset(coeffs, subset)
+    v = _check_sites(subset, coeffs.n_sites, "subset")
     sl = tuple(slice(1, None) if j in v else 0 for j in range(coeffs.n_sites))
     block = coeffs.array[sl]
     return float((block * block).sum())
@@ -166,8 +154,8 @@ def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
     Requires omega and sigma to be disjoint and to cover every site of the
     coefficient array.  Computed by inclusion-exclusion on slice masses.
     """
-    omega = _check_subset(coeffs, omega)
-    sigma = _check_subset(coeffs, sigma)
+    omega = _check_sites(omega, coeffs.n_sites, "subset")
+    sigma = _check_sites(sigma, coeffs.n_sites, "subset")
     if set(omega) & set(sigma):
         raise ValueError(f"invalid partition: overlapping groups {omega} and {sigma}")
     if set(omega) | set(sigma) != set(range(coeffs.n_sites)):
@@ -175,38 +163,6 @@ def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
     total = float((coeffs.array * coeffs.array).sum())
     c00 = float(coeffs.array[(0,) * coeffs.n_sites] ** 2)
     return total - _support_mass(coeffs, omega) - _support_mass(coeffs, sigma) + c00
-
-
-_FSUM = ContextVar("fsum_purities", default=False)
-
-
-@contextmanager
-def _fsum_purities():
-    """Reduce every marginal purity read inside the block with math.fsum."""
-    token = _FSUM.set(True)
-    try:
-        yield
-    finally:
-        _FSUM.reset(token)
-
-
-def _marginal_purity(state: DensityMatrix, keep) -> float:
-    """Tr(rho_v^2) of the marginal on the sites ``keep`` (all sites: the state).
-
-    Every closed-form check is a formula over these purities.  The standard
-    value is one numpy reduction, memoized on the state so that the checks
-    of one sample share their partial traces.  Inside ``_fsum_purities``
-    the same squares are reduced with math.fsum and nothing is cached; this
-    is the only place where the standard and precise evaluations differ.
-    """
-    keep = tuple(sorted(keep))
-    if _FSUM.get():
-        m = partial_trace(state, keep).matrix
-        return fsum((np.abs(m.ravel()) ** 2).tolist())
-    cache = state._marginal_purities
-    if keep not in cache:
-        cache[keep] = partial_trace(state, keep).purity()
-    return cache[keep]
 
 
 def purity_from_tensor(coeffs: BlochCoefficients) -> float:

@@ -20,9 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .correlation import _marginal_purity
 from .reports import InequalityReport, report_from_sides
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix, _marginal_purity, partial_trace
 
 EIG_CLIP_TOL = 1e-9
 RANGE_TOL = 1e-12
@@ -227,6 +226,9 @@ def max_sab_genpseudo(s_a, s_b, dims):
     return _cap_result(np.minimum(root, 1.0 - 1.0 / m))
 
 
+_SURFACES = {"subadd": max_sab_subadd, "gen-pseudo": max_sab_genpseudo}
+
+
 def validate_surface(kind: str, dims, resolution: int = 101) -> float:
     """Max |closed form - bisection root| of the surface over a marginal grid.
 
@@ -236,27 +238,31 @@ def validate_surface(kind: str, dims, resolution: int = 101) -> float:
     da, db = (int(d) for d in dims)
     if resolution < 2:
         raise ValueError(f"invalid resolution {resolution}: need >= 2")
-    m = da * db
-    cap = 1.0 - 1.0 / m
+    if kind not in _SURFACES:
+        raise ValueError(f"unknown surface kind {kind!r}")
     sa = np.linspace(0.0, 1.0 - 1.0 / da, resolution)
     sb = np.linspace(0.0, 1.0 - 1.0 / db, resolution)
     SA, SB = np.meshgrid(sa, sb, indexing="ij")
+    return _bisection_residual(kind, SA, SB, _SURFACES[kind](SA, SB, (da, db)), da * db)
 
+
+def _bisection_residual(kind: str, SA: np.ndarray, SB: np.ndarray, closed: np.ndarray,
+                        m: int) -> float:
+    """Max |closed - root| with the root of the ``kind`` slack found by bisection.
+
+    ``closed`` is the closed-form surface on the marginal grid (SA, SB) of a
+    pair with d_A d_B = m.
+    """
     if kind == "subadd":
         def slack(S):
             return SA + SB - S
-
-        closed = max_sab_subadd(SA, SB, (da, db))
-    elif kind == "gen-pseudo":
+    else:
         def slack(S):
             return _genpseudo_side(SA, SB) - _genpseudo_floor(S, m)
 
-        closed = max_sab_genpseudo(SA, SB, (da, db))
-    else:
-        raise ValueError(f"unknown surface kind {kind!r}")
-
     # slack is decreasing in S on [0, cap]; bisect for its root, capping
     # where the inequality still holds at the physical maximum
+    cap = 1.0 - 1.0 / m
     lo = np.zeros_like(SA)
     hi = np.full_like(SA, cap)
     hold_at_cap = slack(hi) >= 0.0

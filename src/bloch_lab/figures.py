@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import classify_grid, max_sab_genpseudo, max_sab_subadd, validate_surface
+from .entropy import _bisection_residual, classify_grid, max_sab_genpseudo, max_sab_subadd
 from .errors import NumericError
 
 FIG1_CASES = ("worst", "best")
@@ -83,8 +83,8 @@ def sweep_figA(dims=(2, 2), resolution: int = 101) -> FigAData:
     subadd = max_sab_subadd(SA, SB, (da, db))
     gen_pseudo = max_sab_genpseudo(SA, SB, (da, db))
 
-    dev_sub = validate_surface("subadd", (da, db), resolution)
-    dev_gen = validate_surface("gen-pseudo", (da, db), resolution)
+    dev_sub = _bisection_residual("subadd", SA, SB, subadd, da * db)
+    dev_gen = _bisection_residual("gen-pseudo", SA, SB, gen_pseudo, da * db)
     if max(dev_sub, dev_gen) > SURFACE_VALIDATION_TOL:
         raise NumericError(f"surface closed forms deviate from root finding by "
                            f"{max(dev_sub, dev_gen):.3e}")

@@ -38,10 +38,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .correlation import _marginal_purity
 from .errors import NotPureError
 from .reports import SLACK_TOL, InequalityReport, report_from_sides
-from .states import DensityMatrix, derive_seed, partial_trace
+from .states import DensityMatrix, _check_sites, _marginal_purity, derive_seed, partial_trace
 
 PURE_TOL = 1e-10
 # split solves kept by _solve_split: the most that one check makes on one
@@ -146,16 +145,10 @@ def _check_partition(state: DensityMatrix, partition):
         omega, sigma = partition
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid partition {partition!r}: need (omega, sigma)") from exc
-    omega = tuple(sorted(int(s) for s in omega))
-    sigma = tuple(sorted(int(s) for s in sigma))
-    n = state.n_sites
-    if not omega or not sigma:
-        raise ValueError("invalid partition: both groups must be non-empty")
-    allsites = omega + sigma
-    if len(set(allsites)) != len(allsites):
+    omega = _check_sites(omega, state.n_sites, "partition group")
+    sigma = _check_sites(sigma, state.n_sites, "partition group")
+    if set(omega) & set(sigma):
         raise ValueError(f"invalid partition: groups {omega} and {sigma} overlap")
-    if any(not 0 <= s < n for s in allsites):
-        raise ValueError(f"invalid partition: site out of range for {n} sites")
     return omega, sigma
 
 

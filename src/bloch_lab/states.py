@@ -6,13 +6,22 @@ Kronecker product a (x) b, and the flat index of a product basis state
 
 Random sampling is deterministic per (seed, index): each sample index gets
 its own PCG64 stream derived by splitmix64-style mixing, so a batch can be
-generated in any order without changing the draws.
+generated in any order without changing the draws.  Draws are valid by
+construction (G G^H / Tr or |v><v|) and are wrapped directly; ``from_matrix``
+validates matrices that come from outside.
+
+This module owns the purity table: every marginal purity Tr(rho_v^2) is
+read through ``_marginal_purity`` and memoized on the state, and the site
+subsets that index it are checked by ``_check_sites``.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from math import prod
+from functools import reduce
+from math import fsum, prod
 
 import numpy as np
 
@@ -29,12 +38,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 @dataclass
 class DensityMatrix:
-    """A validated density matrix together with its site dimensions."""
+    """A density matrix with its site dimensions (valid by construction or via from_matrix)."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    _purity: float | None = field(default=None, repr=False, compare=False)
-    # Tr(rho_v^2) per sorted site subset v, filled by correlation._marginal_purity
+    # Tr(rho_v^2) per sorted site subset v, filled by _marginal_purity
     _marginal_purities: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -52,10 +60,8 @@ class DensityMatrix:
         return len(self.dims)
 
     def purity(self) -> float:
-        """Tr(rho^2), computed as the squared Frobenius norm."""
-        if self._purity is None:
-            self._purity = float(np.vdot(self.matrix, self.matrix).real)
-        return self._purity
+        """Tr(rho^2): the all-sites entry of the purity table."""
+        return _marginal_purity(self, range(self.n_sites))
 
     def is_pure(self, tol: float = PURITY_TOL) -> bool:
         return self.purity() >= 1.0 - tol
@@ -71,15 +77,17 @@ def _check_dims(dims) -> tuple[int, ...]:
 def from_matrix(matrix, dims) -> DensityMatrix:
     """Validate a matrix as a density operator and wrap it.
 
-    Checks hermiticity (1e-10), unit trace (1e-10) and positivity
-    (smallest eigenvalue >= -1e-9); raises InvalidStateError naming the
-    violated invariant.  Eigenvalues are never repaired.
+    Checks finite entries, hermiticity (1e-10), unit trace (1e-10) and
+    positivity (smallest eigenvalue >= -1e-9); raises InvalidStateError
+    naming the violated invariant.  Eigenvalues are never repaired.
     """
     dims = _check_dims(dims)
     d = prod(dims)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (d, d):
         raise InvalidStateError(f"invalid state: shape {m.shape} does not match dims {dims} (need {(d, d)})")
+    if not np.isfinite(m).all():
+        raise InvalidStateError("invalid state: entries must be finite (found NaN or inf)")
     herm = float(np.abs(m - m.conj().T).max())
     if herm > HERMITIAN_TOL:
         raise InvalidStateError(f"invalid state: not hermitian (max |rho - rho^H| = {herm:.3e})")
@@ -132,15 +140,21 @@ def tensor(*states: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(dims, m)
 
 
+def _check_sites(sites, n: int, what: str) -> tuple[int, ...]:
+    """The sorted site indices; ValueError unless non-empty, distinct and in [0, n)."""
+    sites = tuple(int(s) for s in sites)
+    v = tuple(sorted(sites))
+    if not v:
+        raise ValueError(f"invalid {what}: no sites")
+    if len(set(v)) != len(v) or v[0] < 0 or v[-1] >= n:
+        raise ValueError(f"invalid {what} {sites}: need distinct sites in 0..{n - 1}")
+    return v
+
+
 def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every site not in ``keep``; kept sites keep their order."""
     n = state.n_sites
-    keep = tuple(int(k) for k in keep)
-    if not keep:
-        raise ValueError("invalid partition: keep is empty")
-    if len(set(keep)) != len(keep) or any(not 0 <= k < n for k in keep):
-        raise ValueError(f"invalid partition: keep={keep} for {n} sites")
-    keep = tuple(sorted(keep))
+    keep = _check_sites(keep, n, "kept sites")
     if keep == tuple(range(n)):
         return state
     dims = state.dims
@@ -154,6 +168,39 @@ def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
     kept_dims = tuple(dims[i] for i in keep)
     d = prod(kept_dims)
     return DensityMatrix(kept_dims, red.reshape(d, d))
+
+
+_FSUM = ContextVar("fsum_purities", default=False)
+
+
+@contextmanager
+def _fsum_purities():
+    """Reduce every marginal purity read inside the block with math.fsum."""
+    token = _FSUM.set(True)
+    try:
+        yield
+    finally:
+        _FSUM.reset(token)
+
+
+def _marginal_purity(state: DensityMatrix, keep) -> float:
+    """Tr(rho_v^2) of the marginal on the sites ``keep`` (all sites: the state).
+
+    Every closed-form check is a formula over these purities.  The standard
+    value is one numpy reduction, memoized on the state so that the checks
+    of one sample share their partial traces.  Inside ``_fsum_purities``
+    the same squares are reduced with math.fsum and nothing is cached; this
+    is the only place where the standard and precise evaluations differ.
+    """
+    keep = tuple(sorted(keep))
+    cache = state._marginal_purities
+    if keep in cache and not _FSUM.get():
+        return cache[keep]
+    m = state.matrix if keep == tuple(range(state.n_sites)) else partial_trace(state, keep).matrix
+    if _FSUM.get():
+        return fsum((np.abs(m.ravel()) ** 2).tolist())
+    cache[keep] = float(np.vdot(m, m).real)
+    return cache[keep]
 
 
 def purify(state: DensityMatrix) -> DensityMatrix:
@@ -188,8 +235,8 @@ def derive_seed(master: int, index: int) -> int:
     return _mix64((int(master) + _GOLDEN * (int(index) + 1)) & _M64)
 
 
-def _rng(master: int, index: int, attempt: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_mix64(derive_seed(master, index) + attempt)))
+def _rng(master: int, index: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_mix64(derive_seed(master, index))))
 
 
 _KIND_ALIASES = {"hs": "hilbert-schmidt"}
@@ -234,8 +281,8 @@ def _draw_matrix(rng: np.random.Generator, d: int, kind: str, rank: int | None) 
 def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
     """Sample ``index`` of the ensemble; same (dims, spec, index) -> same state.
 
-    Candidates failing validation are rejected and redrawn from a fresh
-    substream (this essentially never triggers for these ensembles).
+    Every draw is a density matrix by construction (G G^H / Tr G G^H, or
+    |v><v| for a unit v), so it is wrapped without re-validation.
     """
     dims = _check_dims(dims)
     kind = spec.canonical_kind()
@@ -244,27 +291,17 @@ def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
     if kind in ("pure-haar", "hilbert-schmidt") and spec.rank_cap is not None:
         raise ValueError(f"rank_cap applies only to the induced and product-of ensembles, "
                          f"not {kind}")
-    if kind == "product-of":
-        if not spec.factors or len(spec.factors) != len(dims):
-            raise ValueError(f"product-of needs one factor kind per site ({len(dims)} sites)")
-        for f in spec.factors:
-            fk = _KIND_ALIASES.get(f, f)
-            if fk not in KINDS or fk == "product-of":
-                raise ValueError(f"invalid product factor kind {f!r}")
-    for attempt in range(8):
-        rng = _rng(spec.seed, index, attempt)
-        if kind == "product-of":
-            mats = []
-            for site, f in enumerate(spec.factors):
-                fk = _KIND_ALIASES.get(f, f)
-                mats.append(_draw_matrix(rng, dims[site], fk, spec.rank_cap))
-            m = mats[0]
-            for x in mats[1:]:
-                m = np.kron(m, x)
-        else:
-            m = _draw_matrix(rng, prod(dims), kind, spec.rank_cap)
-        try:
-            return from_matrix(m, dims)
-        except InvalidStateError:
-            continue
-    raise InvalidStateError(f"could not draw a valid state for dims={dims} after 8 attempts")
+    if kind != "product-of":
+        if spec.factors is not None:
+            raise ValueError(f"factors apply only to the product-of ensemble, not {kind}")
+        return DensityMatrix(dims, _draw_matrix(_rng(spec.seed, index), prod(dims), kind,
+                                                spec.rank_cap))
+    if not spec.factors or len(spec.factors) != len(dims):
+        raise ValueError(f"product-of needs one factor kind per site ({len(dims)} sites)")
+    kinds = tuple(_KIND_ALIASES.get(f, f) for f in spec.factors)
+    for f, fk in zip(spec.factors, kinds):
+        if fk not in KINDS or fk == "product-of":
+            raise ValueError(f"invalid product factor kind {f!r}")
+    rng = _rng(spec.seed, index)
+    return DensityMatrix(dims, reduce(np.kron, [_draw_matrix(rng, d, fk, spec.rank_cap)
+                                                for d, fk in zip(dims, kinds)]))

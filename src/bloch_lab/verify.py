@@ -25,12 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlation import _fsum_purities
 from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subadditivity)
 from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
                        check_thm1_ii)
 from .reports import CANDIDATE_TOL, SLACK_TOL
-from .states import DensityMatrix, EnsembleSpec, random_state
+from .states import DensityMatrix, EnsembleSpec, _fsum_purities, random_state
 
 # name -> (applies to these site dims?, check, keyword options it takes),
 # in campaign order

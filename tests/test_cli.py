@@ -150,6 +150,13 @@ def test_malformed_state_file_is_usage_error(capsys, tmp_path):
     assert "line" in err
 
 
+def test_non_finite_state_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"dims": [2], "matrix": [[float("nan"), 0], [0, 0], [0, 0], [0.5, 0]]}))
+    code, out, err = run(capsys, "entropy", "--state", str(bad))
+    assert code == 2 and "finite" in err and not out
+
+
 def test_bad_partition_is_usage_error(capsys, tmp_path):
     state_file = str(tmp_path / "s.json")
     run(capsys, "state", "random", "--dims", "2,2", "--seed", "1",
@@ -322,6 +329,15 @@ def test_rank_cap_needs_a_capped_ensemble(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "entropy", "--state", state_file)
     assert code == 0 and json.loads(out)["linear_entropy"] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_factors_need_the_product_of_ensemble(capsys):
+    for argv in (("state", "random", "--dims", "2,2"),
+                 ("verify", "--dims", "2,2", "--samples", "3")):
+        code, out, err = run(capsys, *argv, "--factors", "pure-haar,pure-haar")
+        assert code == 2 and "factors" in err and not out, argv
+        code, _, _ = run(capsys, *argv, "--ensemble", "product-of", "--factors", "pure-haar,hs")
+        assert code == 0, argv
 
 
 def test_unknown_config_key(capsys, tmp_path):

@@ -14,7 +14,7 @@ from bloch_lab import (DensityMatrix, EnsembleSpec, NumericError, all_subset_nor
                        max_entangled, maximally_mixed, partial_trace, pure, purity_from_tensor,
                        random_state, reconstruct, split_purity, split_sector_norms,
                        tensor, tensor_norm_sq)
-from bloch_lab.correlation import _fsum_purities, _marginal_purity
+from bloch_lab.states import _fsum_purities, _marginal_purity
 
 
 def hs_state(dims, seed, index=0):

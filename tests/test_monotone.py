@@ -12,9 +12,10 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        correlation_monotone, eve_bound, excess, from_matrix,
                        lemma6_bounds, max_entangled, maximally_mixed,
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
-from bloch_lab.correlation import (_fsum_purities, bases_with_split, bloch_coefficients,
-                                   cross_norm_sum, split_sector_norms, tensor_norm_sq)
+from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
+                                   split_sector_norms, tensor_norm_sq)
 from bloch_lab.monotone import SPLIT_MEMO_SIZE, _solve_split, _SplitObjective
+from bloch_lab.states import _fsum_purities
 
 
 def hs_state(dims, seed, index=0):

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloch_lab import (EnsembleSpec, InvalidStateError, derive_seed,
-                       from_matrix, max_entangled, maximally_mixed, partial_trace,
-                       pure, purify, random_state, tensor)
+from bloch_lab import (EnsembleSpec, InvalidStateError, bloch_coefficients,
+                       correlation_monotone, derive_seed, from_matrix, max_entangled,
+                       maximally_mixed, partial_trace, pure, purify, random_state, tensor,
+                       tensor_norm_sq)
+from bloch_lab.states import _fsum_purities
 
 
 def hs_state(dims, seed, index=0):
@@ -40,6 +44,14 @@ def test_from_matrix_rejects_bad_trace():
 def test_from_matrix_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(InvalidStateError, match="eigenvalue"):
+        from_matrix(m, (2,))
+
+
+@pytest.mark.parametrize("entry,value", [((0, 0), np.nan), ((0, 1), np.nan), ((1, 1), np.inf)])
+def test_from_matrix_rejects_non_finite(entry, value):
+    m = np.eye(2, dtype=complex) / 2
+    m[entry] = value
+    with pytest.raises(InvalidStateError, match="finite"):
         from_matrix(m, (2,))
 
 
@@ -95,6 +107,17 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(s, (0, 0))
     with pytest.raises(ValueError):
         partial_trace(s, (2,))
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (), (3,)], ids=["duplicate", "empty", "out-of-range"])
+def test_site_subsets_share_one_rule(bad):
+    s = hs_state((2, 2, 2), seed=5)
+    with pytest.raises(ValueError, match="kept sites"):
+        partial_trace(s, bad)
+    with pytest.raises(ValueError, match="partition"):
+        correlation_monotone(s, (bad, (1,)))
+    with pytest.raises(ValueError, match="subset"):
+        tensor_norm_sq(bloch_coefficients(s), bad)
 
 
 def test_purify_round_trip():
@@ -174,11 +197,40 @@ def test_product_of_factorizes():
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 50))
-def test_hs_samples_are_valid_states(seed, index):
-    s = random_state((2, 2), EnsembleSpec(kind="hilbert-schmidt", seed=seed), index)
-    from_matrix(s.matrix, s.dims)  # re-validation must not raise
-    assert 0.25 <= s.purity() <= 1.0 + 1e-12
+@given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 50),
+       factors=st.lists(st.sampled_from(["pure-haar", "hs", "hilbert-schmidt", "induced"]),
+                        min_size=3, max_size=3),
+       factor_cap=st.sampled_from([None, 1, 2, 3]))
+def test_hs_samples_are_valid_states(seed, index, factors, factor_cap):
+    # draws skip validation, so every ensemble must yield states from_matrix accepts
+    for dims in ((2, 2), (2, 3), (2, 2, 3)):
+        specs = [EnsembleSpec(kind="pure-haar", seed=seed),
+                 EnsembleSpec(kind="hilbert-schmidt", seed=seed),
+                 *(EnsembleSpec(kind="induced", seed=seed, rank_cap=k) for k in (1, 2, 3)),
+                 EnsembleSpec(kind="product-of", seed=seed, rank_cap=factor_cap,
+                              factors=tuple(factors[:len(dims)]))]
+        for spec in specs:
+            s = random_state(dims, spec, index)
+            from_matrix(s.matrix, s.dims)  # re-validation must not raise
+            assert 1.0 / s.dim - 1e-12 <= s.purity() <= 1.0 + 1e-12, spec
+
+
+@pytest.mark.parametrize("kind,rank_cap", [("pure-haar", None), ("hilbert-schmidt", None),
+                                           ("induced", 1)])
+def test_factors_need_product_of(kind, rank_cap):
+    spec = EnsembleSpec(kind=kind, seed=2, rank_cap=rank_cap, factors=("pure-haar", "pure-haar"))
+    with pytest.raises(ValueError, match="factors"):
+        random_state((2, 2), spec, index=0)
+
+
+def test_purity_reads_the_purity_table():
+    s = hs_state((2, 3), seed=29)
+    squares = (np.abs(s.matrix.ravel()) ** 2).tolist()
+    with _fsum_purities():
+        assert s.purity() == math.fsum(squares)
+    assert not s._marginal_purities  # the precise value is never cached
+    assert s.purity() == float(np.vdot(s.matrix, s.matrix).real)
+    assert s._marginal_purities == {(0, 1): s.purity()}
 
 
 def test_purity_cache_matches_direct():
