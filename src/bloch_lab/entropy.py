@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isfinite
 
 import numpy as np
 
@@ -58,8 +59,8 @@ def linear_entropy(state: DensityMatrix) -> float:
 def tsallis(state: DensityMatrix, q: float) -> float:
     """(1 - Tr rho^q)/(q - 1); q = 1 returns the von Neumann entropy in nats."""
     q = float(q)
-    if not q > 0.0:
-        raise ValueError(f"invalid parameter q={q!r}: need q > 0")
+    if not (q > 0.0 and isfinite(q)):
+        raise ValueError(f"invalid parameter q={q!r}: need a finite q > 0")
     if q == 1.0:
         return _von_neumann_nats(state)
     return (1.0 - _trace_power(state, q)) / (q - 1.0)
@@ -68,8 +69,8 @@ def tsallis(state: DensityMatrix, q: float) -> float:
 def renyi(state: DensityMatrix, alpha: float) -> float:
     """log2(Tr rho^alpha)/(1 - alpha); alpha = 1 returns von Neumann in bits."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"invalid parameter alpha={alpha!r}: need alpha > 0")
+    if not (alpha > 0.0 and isfinite(alpha)):
+        raise ValueError(f"invalid parameter alpha={alpha!r}: need a finite alpha > 0")
     if alpha == 1.0:
         return _von_neumann_nats(state) / np.log(2.0)
     return float(np.log2(_trace_power(state, alpha)) / (1.0 - alpha))

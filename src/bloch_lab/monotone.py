@@ -16,10 +16,13 @@ correlation mass is
   from the state once per call.  The optimizer and the reported raw mass
   read K, the discarded mass delta reads Q's first term, and no
   coefficient tensor is built.
-  The maximum is searched from random restarts by eigen-steps: each step
-  moves P to the top-c eigenvectors of the gradient plus a fixed shift
-  that makes the step an ascent, with all restarts ascending in lock-step
-  as one stacked batch (``_optimize_split``).  The last few solves are
+  The maximum is searched by eigen-steps from restarts (rho_B's
+  eigenvectors, then Haar unitaries drawn once per size and seed): each
+  step moves P to the top-c eigenvectors of the gradient plus a shift
+  times P, with all restarts ascending in lock-step as one stacked batch
+  (``_optimize_split``).  A restart's shift starts at a quarter of the
+  worst-case shift that makes every step an ascent, and doubles, up to
+  it, in place of a step that would lower Q.  The last few solves are
   memoized on the reduced matrix and the optimizer settings
   (``_solve_split``), so re-checking a state repeats no ascent.
 
@@ -47,6 +50,8 @@ PURE_TOL = 1e-10
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
 # repeats no ascent, while any other repeat misses
 SPLIT_MEMO_SIZE = 2
+# each restart's first eigen-step shift, as a fraction of the worst-case sigma
+SHIFT_START = 0.25
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class NormalizationPolicy:
     value: float | None = None
 
     def resolve(self, d_omega: int, d_sigma: int) -> float:
-        """g for groups of these dimensions; raises unless g > 0 (a group of dimension 1 gives 0)."""
+        """g for groups of these dimensions; raises unless 0 < g < inf (a group of dimension 1 gives 0)."""
         if self.rule == "unit-range":
             g = min(d_omega, d_sigma) ** 2 - 1
         elif self.rule == "separable-bound":
@@ -70,8 +75,8 @@ class NormalizationPolicy:
             g = self.value
         else:
             raise ValueError(f"unknown normalization rule {self.rule!r}")
-        if g is None or not g > 0:
-            raise ValueError(f"{self.rule} normalization needs a positive g, got {g!r} "
+        if g is None or not (g > 0 and isfinite(g)):
+            raise ValueError(f"{self.rule} normalization needs a finite positive g, got {g!r} "
                              f"for group dimensions ({d_omega}, {d_sigma})")
         return float(g)
 
@@ -222,23 +227,37 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * (ph / np.abs(ph))[None, :]
 
 
+@lru_cache(maxsize=8)
+def _haar_starts(d: int, restarts: int, seed: int) -> np.ndarray:
+    """Read-only (restarts - 1, d, d) stack: restart r's Haar start, seeded by derive_seed(seed, r)."""
+    starts = np.empty((restarts - 1, d, d), dtype=complex)
+    for r in range(1, restarts):
+        starts[r - 1] = _haar_unitary(d, np.random.Generator(np.random.PCG64(derive_seed(seed, r))))
+    starts.setflags(write=False)
+    return starts
+
+
 def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, bool, int]:
     """Ascend all restarts in lock-step; returns (values, best U, converged, sweeps).
 
     Restart 0 starts from the eigenvectors of rho_B in descending order,
     exact for pure states, where the top-c eigenvectors span the Schmidt
     subspace; restart r >= 1 starts from a Haar unitary seeded by
-    derive_seed(config.seed, r).  A sweep is one eigen-step of every live
-    restart: U becomes the eigenvectors, in descending order, of
-    Phi(P) + 2 sigma P at P = V V^dag, V = U[:, :, :c] (the generalized
-    power method).  For Hermitian P, Q(P) = vec(P)^dag S K vec(P) with S
-    the vec-transpose swap, so with sigma = max(0, -lambda_min(S K)) the
-    function Q(P) + sigma ||P||^2 is convex, and on projectors it differs
-    from Q by the constant sigma c.  Its linearization at P is maximized by
-    the top-c eigenspace of Phi + 2 sigma P (Ky Fan), so no step lowers Q.
-    A restart whose step gained less than ``tol`` freezes and leaves the
-    batch with the Q of its last U, which is what a run of that restart
-    alone gives.  Q after a step is read from the gradient that also serves the next step.
+    derive_seed(config.seed, r) (``_haar_starts``).  A sweep is one
+    eigen-step of every live restart: U becomes the eigenvectors, in
+    descending order, of Phi(P) + 2 sigma_r P at P = V V^dag,
+    V = U[:, :, :c] (the generalized power method).  For Hermitian P,
+    Q(P) = vec(P)^dag S K vec(P) with S the vec-transpose swap, so with
+    sigma = max(0, -lambda_min(S K)) the function Q(P) + sigma ||P||^2 is
+    convex, and on projectors it differs from Q by the constant sigma c.
+    Its linearization at P is maximized by the top-c eigenspace of
+    Phi + 2 sigma P (Ky Fan), so a step at the full shift never lowers Q.
+    A smaller shift steps further: sigma_r starts at SHIFT_START sigma, and
+    a step at sigma_r < sigma that would lower Q is not taken; the restart
+    keeps its U for that sweep and doubles sigma_r, capped at sigma.  A
+    taken step that gained less than ``tol`` freezes its restart with the Q
+    of its last U, what a run of that restart alone gives.  Q after a step
+    is read from the gradient that also serves the next step.
     ``values`` holds every restart's final Q in restart order; the winner
     is the first restart with the largest one.
     """
@@ -246,27 +265,33 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     w, vecs = np.linalg.eigh(obj.rho_B)
     U = np.empty((R, dB, dB), dtype=complex)
     U[0] = vecs[:, np.argsort(-w)]
-    for r in range(1, R):
-        U[r] = _haar_unitary(dB, np.random.Generator(np.random.PCG64(derive_seed(config.seed, r))))
+    U[1:] = _haar_starts(dB, R, config.seed)
     values, final_U = np.empty(R), np.empty_like(U)
     converged = np.zeros(R, dtype=bool)
     live = np.arange(R)
     # S K is K with its rows permuted by the swap (m, n) -> (n, m)
     swap = np.arange(dB * dB).reshape(dB, dB).T.ravel()
     sigma = max(0.0, -float(np.linalg.eigvalsh(obj.K[swap])[0]))
+    shift = np.full(R, SHIFT_START * sigma)
     phi, prev, P = obj.gradient(U)
     sweeps = 0
     while live.size and sweeps < config.max_sweeps:
         sweeps += 1
-        U = np.linalg.eigh(phi + 2.0 * sigma * P)[1][:, :, ::-1]
-        phi, cur, P = obj.gradient(U)
-        done = cur - prev < config.tol
+        U_new = np.linalg.eigh(phi + (2.0 * shift)[:, None, None] * P)[1][:, :, ::-1]
+        phi_new, cur, P_new = obj.gradient(U_new)
+        # a short-shift step that lowers Q is not taken; its restart backs off
+        back = (cur < prev) & (shift < sigma)
+        if back.any():
+            U_new[back], phi_new[back], P_new[back], cur[back] = U[back], phi[back], P[back], prev[back]
+            shift[back] = np.minimum(2.0 * shift[back], sigma)
+        U, phi, P = U_new, phi_new, P_new
+        done = (cur - prev < config.tol) & ~back
         if done.any():
             values[live[done]] = cur[done]
             final_U[live[done]] = U[done]
             converged[live[done]] = True
             keep = ~done
-            live, U, phi, P, cur = live[keep], U[keep], phi[keep], P[keep], cur[keep]
+            live, U, phi, P, cur, shift = live[keep], U[keep], phi[keep], P[keep], cur[keep], shift[keep]
         prev = cur
     # restarts still live ran out of sweeps
     values[live] = prev

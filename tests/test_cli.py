@@ -168,6 +168,17 @@ def test_bad_partition_is_usage_error(capsys, tmp_path):
         assert "partition" in err
 
 
+@pytest.mark.parametrize("argv", [("entropy", "--alpha", "inf"), ("entropy", "--q=-inf"),
+                                  ("monotone", "--partition", "A|B", "--policy", "explicit:inf")])
+def test_non_finite_parameter_is_usage_error(capsys, tmp_path, argv):
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,2", "--seed", "1", "--out", state_file)
+    code, out, err = run(capsys, argv[0], "--state", state_file, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 @pytest.mark.parametrize("restarts", ["0", "-5"])
 def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
     state_file = str(tmp_path / "s.json")

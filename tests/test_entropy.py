@@ -73,6 +73,15 @@ def test_entropy_order_guards():
         renyi(s, -1.0)
 
 
+@pytest.mark.parametrize("order", [float("inf"), float("-inf"), float("nan")])
+def test_entropy_orders_must_be_finite(order):
+    s = maximally_mixed((2,))
+    with pytest.raises(ValueError, match="finite"):
+        tsallis(s, order)
+    with pytest.raises(ValueError, match="finite"):
+        renyi(s, order)
+
+
 def test_entropy_vector_covers_all_subsets():
     ev = entropy_vector(hs_state((2, 2, 2), seed=97))
     assert set(ev.values) == {(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)}

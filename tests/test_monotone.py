@@ -14,8 +14,9 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
                                    split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import SPLIT_MEMO_SIZE, _solve_split, _SplitObjective
-from bloch_lab.states import _fsum_purities
+from bloch_lab.monotone import (SHIFT_START, SPLIT_MEMO_SIZE, _haar_starts, _haar_unitary,
+                                _solve_split, _SplitObjective)
+from bloch_lab.states import _fsum_purities, derive_seed
 
 
 def hs_state(dims, seed, index=0):
@@ -248,6 +249,56 @@ def test_restart_values_never_drop_with_more_sweeps(dims):
             prev = values
 
 
+def test_step_that_lowers_q_is_rejected_and_its_shift_doubles():
+    # on this state, restart 1's first step at sigma/4 would lower Q, while
+    # steps at sigma/2 and sigma raise it by different amounts
+    s = hs_state((2, 3), seed=5, index=14)
+    obj = _SplitObjective(s.matrix, 2, 3, small_first=True)
+    swap = np.arange(9).reshape(3, 3).T.ravel()
+    sigma = -np.linalg.eigvalsh(obj.K[swap])[0]
+    phi, q0, P = obj.gradient(_haar_starts(3, 2, 0))
+
+    def stepped(shift):
+        return obj.gradient(np.linalg.eigh(phi + 2.0 * shift * P)[1][:, :, ::-1])[1][0]
+
+    short, doubled = SHIFT_START * sigma, 2.0 * SHIFT_START * sigma
+    assert stepped(short) < q0[0] - 1e-3
+    assert q0[0] + 1e-3 < stepped(doubled) < stepped(sigma) - 1e-3
+    values = [correlation_monotone(s, ((0,), (1,)), config=OptimizerConfig(
+        restarts=2, seed=0, max_sweeps=k)).restart_values[1] for k in (1, 2)]
+    assert values[0] == pytest.approx(q0[0], abs=1e-15)
+    assert values[1] == pytest.approx(stepped(doubled), abs=1e-15)
+
+
+# total sweeps over 20 HS states at seed 11; the ascent with every step at the
+# full shift sigma took 660, 1152 and 1075
+SWEEP_BUDGETS = {(2, 3): 450, (2, 4): 800, (3, 4): 650}
+
+
+@pytest.mark.parametrize("dims", sorted(SWEEP_BUDGETS))
+def test_split_ascent_sweeps_stay_within_budget(dims):
+    cfg = OptimizerConfig(restarts=8, seed=0)
+    results = [correlation_monotone(hs_state(dims, seed=11, index=i), ((0,), (1,)), config=cfg)
+               for i in range(20)]
+    assert all(r.converged for r in results)
+    assert sum(r.sweeps for r in results) <= SWEEP_BUDGETS[dims]
+
+
+def test_haar_starts_are_the_per_restart_draws():
+    for d, restarts, seed in ((3, 8, 0), (4, 5, 7)):
+        starts = _haar_starts(d, restarts, seed)
+        assert starts.shape == (restarts - 1, d, d)
+        for r in range(1, restarts):
+            draw = _haar_unitary(d, np.random.Generator(np.random.PCG64(derive_seed(seed, r))))
+            assert starts[r - 1].tobytes() == draw.tobytes(), (d, restarts, seed, r)
+        with pytest.raises(ValueError):
+            starts[0, 0, 0] = 0.0
+    assert _haar_starts.cache_info().maxsize == 8
+    for seed in range(10):
+        _haar_starts(2, 2, seed)
+    assert _haar_starts.cache_info().currsize == 8
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4), (4, 2)])
 def test_returned_subspace_is_stationary(dims):
     # at a maximum over rank-c projectors the gradient Phi has no block
@@ -397,6 +448,12 @@ def test_policy_rules():
     assert sep.g == pytest.approx(1.0)  # (d_A - 1)(d_B - 1)
     with pytest.raises(ValueError):
         NormalizationPolicy("explicit").resolve(2, 2)
+
+
+@pytest.mark.parametrize("g", [float("inf"), float("-inf"), float("nan")])
+def test_explicit_g_must_be_finite(g):
+    with pytest.raises(ValueError, match="finite positive g"):
+        NormalizationPolicy("explicit", value=g).resolve(2, 2)
 
 
 def test_group_of_dimension_one_is_rejected():
