@@ -50,7 +50,8 @@ PURE_TOL = 1e-10
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
 # repeats no ascent, while any other repeat misses
 SPLIT_MEMO_SIZE = 2
-# each restart's first eigen-step shift, as a fraction of the worst-case sigma
+# each restart's first shift as a fraction of sigma (0.25 took the fewest
+# sweeps in a survey; at 0.15 or less the slowest solves grew)
 SHIFT_START = 0.25
 
 
@@ -245,11 +246,11 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     subspace; restart r >= 1 starts from a Haar unitary seeded by
     derive_seed(config.seed, r) (``_haar_starts``).  A sweep is one
     eigen-step of every live restart: U becomes the eigenvectors, in
-    descending order, of Phi(P) + 2 sigma_r P at P = V V^dag,
-    V = U[:, :, :c] (the generalized power method).  For Hermitian P,
-    Q(P) = vec(P)^dag S K vec(P) with S the vec-transpose swap, so with
-    sigma = max(0, -lambda_min(S K)) the function Q(P) + sigma ||P||^2 is
-    convex, and on projectors it differs from Q by the constant sigma c.
+    descending order, of Phi(P) + 2 sigma_r P at P = V V^dag, V = U[:, :, :c]
+    (the generalized power method).  For Hermitian P, Q(P) = vec(P)^dag S K
+    vec(P) with S the vec-transpose swap, so with sigma = max(0,
+    -lambda_min(S K)) the function Q(P) + sigma ||P||^2 is convex, and on
+    projectors it differs from Q by the constant sigma c.
     Its linearization at P is maximized by the top-c eigenspace of
     Phi + 2 sigma P (Ky Fan), so a step at the full shift never lowers Q.
     A smaller shift steps further: sigma_r starts at SHIFT_START sigma, and
