@@ -79,7 +79,7 @@ def main() -> None:
             control = negation_control(campaign)
             expected = control.samples * len(control.stats)
             tripped = control.total_violations
-            ok = tripped >= 0.9 * expected
+            ok = control.control_tripped()
             print(f"{tag:<12} {'[negate-control]':<20} {tripped:>8} / {expected} "
                   f"{'ok' if ok else 'FAILED'}")
             if not ok:

@@ -9,7 +9,7 @@ q = 2 = 1 - Tr rho^2.
 Multi-site checks group sites: check_dim_ssa uses A = site 1, B = site 2,
 C = everything else; the bipartite checks use A = site 1 versus the rest.
 Linear entropies of marginals come from the memoized marginal-purity
-table in correlation.py, so every check at q = 2 is a formula over
+table in states.py, so every check at q = 2 is a formula over
 marginal purities.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
@@ -44,8 +44,6 @@ def _von_neumann_nats(state: DensityMatrix) -> float:
 def _trace_power(state: DensityMatrix, q: float) -> float:
     if q == 2.0:
         return state.purity()
-    if float(q).is_integer() and q >= 1:
-        return float(np.trace(np.linalg.matrix_power(state.matrix, int(q))).real)
     w = _eigvals_clipped(state)
     w = w[w > 0.0]
     return float((w ** q).sum())
@@ -191,9 +189,28 @@ def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q
 # attainable-region surfaces over marginal entropies
 
 
-def _check_marginal_range(s, d: int, name: str) -> None:
-    if not np.all((-RANGE_TOL <= s) & (s <= 1.0 - 1.0 / d + RANGE_TOL)):
-        raise ValueError(f"out-of-range marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
+def _site_dims(dims, n: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of exactly n site dimensions, each >= 2."""
+    sites = tuple(int(d) for d in dims)
+    if len(sites) != n or min(sites) < 2:
+        raise ValueError(f"invalid dims {sites}: need {n} site dimensions, each >= 2")
+    return sites
+
+
+def _marginal_dims(dims, **marginals) -> tuple[int, ...]:
+    """The site dimensions of the named marginals, each checked to lie in [0, 1 - 1/d]."""
+    sites = _site_dims(dims, len(marginals))
+    for (name, s), d in zip(marginals.items(), sites):
+        if not np.all((-RANGE_TOL <= s) & (s <= 1.0 - 1.0 / d + RANGE_TOL)):
+            raise ValueError(f"out-of-range marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
+    return sites
+
+
+def _marginal_axes(dims, resolution: int) -> tuple[np.ndarray, ...]:
+    """Each site's marginal-entropy axis, 0 ... 1 - 1/d at ``resolution`` points."""
+    if resolution < 2:
+        raise ValueError(f"invalid resolution {resolution}: need >= 2")
+    return tuple(np.linspace(0.0, 1.0 - 1.0 / d, resolution) for d in dims)
 
 
 def _cap_result(value):
@@ -205,10 +222,7 @@ def max_sab_subadd(s_a, s_b, dims):
 
     Takes scalars (returns a float) or broadcastable arrays (returns an array).
     """
-    da, db = (int(d) for d in dims)
-    _check_marginal_range(s_a, da, "s_a")
-    _check_marginal_range(s_b, db, "s_b")
-    m = da * db
+    m = prod(_marginal_dims(dims, s_a=s_a, s_b=s_b))
     return _cap_result(np.minimum(s_a + s_b, 1.0 - 1.0 / m))
 
 
@@ -219,10 +233,7 @@ def max_sab_genpseudo(s_a, s_b, dims):
     1 - 1/m, with m = dA dB.  Takes scalars (returns a float) or
     broadcastable arrays (returns an array).
     """
-    da, db = (int(d) for d in dims)
-    _check_marginal_range(s_a, da, "s_a")
-    _check_marginal_range(s_b, db, "s_b")
-    m = da * db
+    m = prod(_marginal_dims(dims, s_a=s_a, s_b=s_b))
     root = 1.0 + 1.0 / m - 2.0 * np.sqrt((1.0 - s_a) * (1.0 - s_b) / m)
     return _cap_result(np.minimum(root, 1.0 - 1.0 / m))
 
@@ -236,15 +247,11 @@ def validate_surface(kind: str, dims, resolution: int = 101) -> float:
     The closed forms above are only trusted once this agrees to tolerance;
     the acceptance suite runs it at resolution 101.
     """
-    da, db = (int(d) for d in dims)
-    if resolution < 2:
-        raise ValueError(f"invalid resolution {resolution}: need >= 2")
     if kind not in _SURFACES:
         raise ValueError(f"unknown surface kind {kind!r}")
-    sa = np.linspace(0.0, 1.0 - 1.0 / da, resolution)
-    sb = np.linspace(0.0, 1.0 - 1.0 / db, resolution)
-    SA, SB = np.meshgrid(sa, sb, indexing="ij")
-    return _bisection_residual(kind, SA, SB, _SURFACES[kind](SA, SB, (da, db)), da * db)
+    dims = _site_dims(dims, 2)
+    SA, SB = np.meshgrid(*_marginal_axes(dims, resolution), indexing="ij")
+    return _bisection_residual(kind, SA, SB, _SURFACES[kind](SA, SB, dims), prod(dims))
 
 
 def _bisection_residual(kind: str, SA: np.ndarray, SB: np.ndarray, closed: np.ndarray,
@@ -291,7 +298,7 @@ def classify_grid(s_a, s_b, s_c, dims):
     complementary site (S(AB) = S(C) and cyclic); returns boolean arrays
     (subadd_ok, gen_pseudo_ok) broadcast over the inputs.
     """
-    da, db, dc = (int(d) for d in dims)
+    da, db, dc = _site_dims(dims, 3)
     s_a, s_b, s_c = np.asarray(s_a, float), np.asarray(s_b, float), np.asarray(s_c, float)
     tol = RANGE_TOL
     subadd = ((s_c <= s_a + s_b + tol)
@@ -309,9 +316,6 @@ def classify_grid(s_a, s_b, s_c, dims):
 
 def classify_triple(s_a: float, s_b: float, s_c: float, dims) -> TripleVerdict:
     """Scalar wrapper over classify_grid with marginal-range validation."""
-    da, db, dc = (int(d) for d in dims)
-    _check_marginal_range(s_a, da, "s_a")
-    _check_marginal_range(s_b, db, "s_b")
-    _check_marginal_range(s_c, dc, "s_c")
+    dims = _marginal_dims(dims, s_a=s_a, s_b=s_b, s_c=s_c)
     subadd, genp = classify_grid(s_a, s_b, s_c, dims)
     return TripleVerdict(subadd=bool(subadd), gen_pseudo=bool(genp))

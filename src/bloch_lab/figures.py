@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import _bisection_residual, classify_grid, max_sab_genpseudo, max_sab_subadd
+from .entropy import (_bisection_residual, _marginal_axes, _site_dims, classify_grid,
+                      max_sab_genpseudo, max_sab_subadd)
 from .errors import NumericError
 
 FIG1_CASES = ("worst", "best")
@@ -72,19 +73,15 @@ class FigAData:
 
 
 def sweep_figA(dims=(2, 2), resolution: int = 101) -> FigAData:
-    da, db = (int(d) for d in dims)
-    if da < 2 or db < 2:
-        raise ValueError(f"invalid dims {dims}: need both >= 2")
-    if resolution < 2:
-        raise ValueError(f"invalid resolution {resolution}: need >= 2")
-    s_a = np.linspace(0.0, 1.0 - 1.0 / da, resolution)
-    s_b = np.linspace(0.0, 1.0 - 1.0 / db, resolution)
+    dims = _site_dims(dims, 2)
+    s_a, s_b = _marginal_axes(dims, resolution)
     SA, SB = np.meshgrid(s_a, s_b, indexing="ij")
-    subadd = max_sab_subadd(SA, SB, (da, db))
-    gen_pseudo = max_sab_genpseudo(SA, SB, (da, db))
+    subadd = max_sab_subadd(SA, SB, dims)
+    gen_pseudo = max_sab_genpseudo(SA, SB, dims)
 
-    dev_sub = _bisection_residual("subadd", SA, SB, subadd, da * db)
-    dev_gen = _bisection_residual("gen-pseudo", SA, SB, gen_pseudo, da * db)
+    m = dims[0] * dims[1]
+    dev_sub = _bisection_residual("subadd", SA, SB, subadd, m)
+    dev_gen = _bisection_residual("gen-pseudo", SA, SB, gen_pseudo, m)
     if max(dev_sub, dev_gen) > SURFACE_VALIDATION_TOL:
         raise NumericError(f"surface closed forms deviate from root finding by "
                            f"{max(dev_sub, dev_gen):.3e}")
@@ -103,7 +100,7 @@ def sweep_figA(dims=(2, 2), resolution: int = 101) -> FigAData:
             if f0 * f1 < 0.0:
                 w = f0 / (f0 - f1)
                 contour.append((float(s_a[i] + w * (s_a[i + 1] - s_a[i])), float(s_b[j])))
-    return FigAData(dims=(da, db), s_a=s_a, s_b=s_b, subadd=subadd, gen_pseudo=gen_pseudo,
+    return FigAData(dims=dims, s_a=s_a, s_b=s_b, subadd=subadd, gen_pseudo=gen_pseudo,
                     contour=contour, subadd_validation=dev_sub, gen_pseudo_validation=dev_gen)
 
 
@@ -128,18 +125,12 @@ class FigBData:
 
 
 def sweep_figB(dims=(2, 2, 2), resolution: int = 21) -> FigBData:
-    da, db, dc = (int(d) for d in dims)
-    if min(da, db, dc) < 2:
-        raise ValueError(f"invalid dims {dims}: need all >= 2")
-    if resolution < 2:
-        raise ValueError(f"invalid resolution {resolution}: need >= 2")
-    s_a = np.linspace(0.0, 1.0 - 1.0 / da, resolution)
-    s_b = np.linspace(0.0, 1.0 - 1.0 / db, resolution)
-    s_c = np.linspace(0.0, 1.0 - 1.0 / dc, resolution)
+    dims = _site_dims(dims, 3)
+    s_a, s_b, s_c = _marginal_axes(dims, resolution)
     SA, SB, SC = np.meshgrid(s_a, s_b, s_c, indexing="ij")
-    subadd_ok, genp_ok = classify_grid(SA, SB, SC, (da, db, dc))
+    subadd_ok, genp_ok = classify_grid(SA, SB, SC, dims)
     n_subadd = int(subadd_ok.sum())
     n_both = int((subadd_ok & genp_ok).sum())
-    return FigBData(dims=(da, db, dc), s_a=s_a, s_b=s_b, s_c=s_c,
+    return FigBData(dims=dims, s_a=s_a, s_b=s_b, s_c=s_c,
                     subadd_ok=subadd_ok, gen_pseudo_ok=genp_ok,
                     n_subadd=n_subadd, n_both=n_both, n_removed=n_subadd - n_both)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -162,14 +163,29 @@ def _header_lines(deterministic: bool) -> list[str]:
     return [f"# generated {stamp}"]
 
 
-def write_fig1_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    cols = ["t"] + [f"excess_d{d}" for d in data.d_values]
+def _cells(values) -> list[str]:
+    """CSV cells of an array in row-major order: booleans as 0/1, floats as repr."""
+    values = np.asarray(values)
+    if values.dtype == bool:
+        return [str(int(x)) for x in values.ravel()]
+    return [repr(float(x)) for x in values.ravel()]
+
+
+def _write_grid_csv(path: str | Path, axes: dict, columns: dict, deterministic: bool) -> None:
+    """One row per point of the product grid of ``axes`` (the first axis varying
+    slowest): the axis values, then each column's value at that point."""
     lines = _header_lines(deterministic)
-    lines.append(",".join(cols))
-    for i, t in enumerate(data.t):
-        row = [repr(float(t))] + [repr(float(data.excess[d][i])) for d in data.d_values]
-        lines.append(",".join(row))
+    lines.append(",".join([*axes, *columns]))
+    points = product(*(_cells(axis) for axis in axes.values()))
+    for point, *values in zip(points, *(_cells(col) for col in columns.values()),
+                              strict=True):
+        lines.append(",".join((*point, *values)))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_fig1_csv(data, path: str | Path, deterministic: bool = False) -> None:
+    _write_grid_csv(path, {"t": data.t},
+                    {f"excess_d{d}": data.excess[d] for d in data.d_values}, deterministic)
 
 
 def fig1_to_jsonable(data) -> dict:
@@ -181,14 +197,9 @@ def fig1_to_jsonable(data) -> dict:
 
 
 def write_figA_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    lines = _header_lines(deterministic)
-    lines.append("s_a,s_b,max_sab_subadd,max_sab_genpseudo")
-    for i, sa in enumerate(data.s_a):
-        for j, sb in enumerate(data.s_b):
-            lines.append(",".join((repr(float(sa)), repr(float(sb)),
-                                   repr(float(data.subadd[i, j])),
-                                   repr(float(data.gen_pseudo[i, j])))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid_csv(path, {"s_a": data.s_a, "s_b": data.s_b},
+                    {"max_sab_subadd": data.subadd, "max_sab_genpseudo": data.gen_pseudo},
+                    deterministic)
 
 
 def figA_to_jsonable(data) -> dict:
@@ -204,15 +215,9 @@ def figA_to_jsonable(data) -> dict:
 
 
 def write_figB_csv(data, path: str | Path, deterministic: bool = False) -> None:
-    lines = _header_lines(deterministic)
-    lines.append("s_a,s_b,s_c,subadd_ok,genpseudo_ok")
-    for i, sa in enumerate(data.s_a):
-        for j, sb in enumerate(data.s_b):
-            for k, sc in enumerate(data.s_c):
-                lines.append(",".join((repr(float(sa)), repr(float(sb)), repr(float(sc)),
-                                       str(int(data.subadd_ok[i, j, k])),
-                                       str(int(data.gen_pseudo_ok[i, j, k])))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_grid_csv(path, {"s_a": data.s_a, "s_b": data.s_b, "s_c": data.s_c},
+                    {"subadd_ok": data.subadd_ok, "genpseudo_ok": data.gen_pseudo_ok},
+                    deterministic)
 
 
 def figB_to_jsonable(data) -> dict:

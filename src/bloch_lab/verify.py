@@ -43,6 +43,7 @@ _CHECKS = {
     "gen-pseudo": (lambda d: len(d) >= 2, check_gen_pseudo_additivity, ()),
 }
 CHECK_ORDER = tuple(_CHECKS)
+CONTROL_TRIP_FRACTION = 0.9
 
 
 def applicable_inequalities(dims) -> tuple[str, ...]:
@@ -127,6 +128,14 @@ class CampaignReport:
     def total_violations(self) -> int:
         return sum(s.violations for s in self.stats.values())
 
+    def control_tripped(self) -> bool:
+        """Whether, as a negation control, this report tripped on enough pairs.
+
+        Healthy checks must report a violation on at least
+        CONTROL_TRIP_FRACTION of the (sample, check) pairs.
+        """
+        return self.total_violations >= CONTROL_TRIP_FRACTION * self.samples * len(self.stats)
+
     def to_jsonable(self, deterministic: bool = False) -> dict:
         """The report as JSON; ``deterministic`` drops the wall-clock fields."""
         out = {
@@ -157,13 +166,14 @@ class CampaignReport:
 
 def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
     names = campaign.inequalities
-    if names == ("all",) or names == "all":
+    names = (names,) if isinstance(names, str) else tuple(names)  # one bare name is one check
+    if names == ("all",):
         return applicable_inequalities(campaign.dims)
     for k, name in enumerate(names):
         _check_for(name, campaign.dims)  # raises on an unknown or inapplicable name
         if name in names[:k]:
             raise ValueError(f"inequality {name!r} is listed more than once")
-    return tuple(names)
+    return names
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:

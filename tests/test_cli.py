@@ -294,6 +294,13 @@ def test_sweep_json_to_stdout(capsys):
     assert payload["counts"]["removed"] == 0
 
 
+def test_sweep_rejects_wrong_number_of_dims(capsys):
+    code, out, err = run(capsys, "sweep", "--figure", "figA", "--dims", "2,2,2",
+                         "--format", "json")
+    assert code == 2 and not out
+    assert "invalid dims (2, 2, 2): need 2 site dimensions, each >= 2" in err
+
+
 def test_sweep_csv_requires_out(capsys):
     code, _, err = run(capsys, "sweep", "--figure", "fig1", "--format", "csv")
     assert code == 2

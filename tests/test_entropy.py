@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloch_lab import (EnsembleSpec, check_dim_ssa, check_gen_pseudo_additivity,
+from bloch_lab import (DensityMatrix, EnsembleSpec, check_dim_ssa, check_gen_pseudo_additivity,
                        check_subadditivity, classify_grid, classify_triple,
                        dim_ssa_vs_subadd, entropy_vector, linear_entropy,
                        max_sab_genpseudo, max_sab_subadd, maximally_mixed,
@@ -63,6 +63,13 @@ def test_renyi_alpha_one_is_von_neumann_bits():
     w = w[w > 1e-15]
     assert renyi(s, 1.0) == pytest.approx(float(-np.sum(w * np.log2(w))), abs=1e-10)
     assert renyi(s, 1.0 + 1e-7) == pytest.approx(renyi(s, 1.0), abs=1e-5)
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+def test_tsallis_rejects_negative_eigenvalues_at_every_order(q):
+    bad = DensityMatrix((2,), np.diag([1.1, -0.1]))
+    with pytest.raises(ValueError, match="eigenvalue"):
+        tsallis(bad, q)
 
 
 def test_entropy_order_guards():

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from bloch_lab import (EnsembleSpec, max_entangled, maximally_mixed,
-                       load_state, random_state, save_state, sweep_fig1, sweep_figA,
-                       sweep_figB)
+from bloch_lab import (EnsembleSpec, classify_grid, classify_triple, max_entangled,
+                       max_sab_genpseudo, max_sab_subadd, maximally_mixed, load_state,
+                       random_state, save_state, sweep_fig1, sweep_figA, sweep_figB,
+                       validate_surface)
 from bloch_lab.basis import gellmann_basis, split_basis
 from bloch_lab.correlation import bases_with_split, bloch_coefficients
 from bloch_lab.io import (basis_from_jsonable, basis_to_jsonable, fig1_to_jsonable,
@@ -76,8 +79,47 @@ def test_figB_counts():
     assert dc.n_both == dc.n_subadd - dc.n_removed
 
 
+# function -> (number of sites, call with site dimensions dims)
+_SITE_DIMS_CALLS = {
+    "max_sab_subadd": (2, lambda dims: max_sab_subadd(0.1, 0.1, dims)),
+    "max_sab_genpseudo": (2, lambda dims: max_sab_genpseudo(0.1, 0.1, dims)),
+    "validate_surface": (2, lambda dims: validate_surface("subadd", dims, resolution=3)),
+    "classify_grid": (3, lambda dims: classify_grid(0.1, 0.1, 0.1, dims)),
+    "classify_triple": (3, lambda dims: classify_triple(0.1, 0.1, 0.1, dims)),
+    "sweep_figA": (2, lambda dims: sweep_figA(dims, resolution=3)),
+    "sweep_figB": (3, lambda dims: sweep_figB(dims, resolution=3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_SITE_DIMS_CALLS))
+@pytest.mark.parametrize("shape", ["too-few", "too-many", "dim-1"])
+def test_surface_functions_share_one_site_dims_rule(name, shape):
+    n, call = _SITE_DIMS_CALLS[name]
+    dims = {"too-few": (2,) * (n - 1), "too-many": (2,) * (n + 1),
+            "dim-1": (2,) * (n - 1) + (1,)}[shape]
+    message = f"invalid dims {dims}: need {n} site dimensions, each >= 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(dims)
+
+
 # ---------------------------------------------------------------------------
 # CSV output
+
+
+# the deterministic bytes of each figure CSV are frozen: cell formatting and
+# row order may not drift
+@pytest.mark.parametrize("sweep, writer, digest", [
+    (lambda: sweep_fig1(points=5), write_fig1_csv,
+     "df088cba66ed7a91af32e5d598217801beb683c6092d078663329ce658413bd6"),
+    (lambda: sweep_figA(resolution=5), write_figA_csv,
+     "fe8d4734149a0879e3283ba04665d8c7b3e03d757de3c26db7689b5216a5d243"),
+    (lambda: sweep_figB(dims=(2, 2, 100), resolution=5), write_figB_csv,
+     "4352d40b6682db001f9c7a4bd127f64ca09083bc4d7a302157f04cd0c865d385"),
+], ids=["fig1", "figA", "figB"])
+def test_figure_csv_bytes_are_frozen(tmp_path, sweep, writer, digest):
+    path = tmp_path / "fig.csv"
+    writer(sweep(), path, deterministic=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_fig1_csv_deterministic_and_schema(tmp_path):

@@ -105,6 +105,23 @@ def test_campaign_threads_only_accepts_serial():
         Campaign(dims=(2, 2), threads=2)
 
 
+@pytest.mark.parametrize("names, checks", [("subadd", ("subadd",)),
+                                           ("all", ("lemma6", "subadd", "gen-pseudo"))])
+def test_bare_string_is_one_check_name(names, checks):
+    rep = run_campaign(Campaign(dims=(2, 2), ensemble=hs(0), inequalities=names, samples=2))
+    assert rep.inequalities == checks
+
+
+def test_control_trips_on_ninety_percent_of_pairs():
+    rep = negation_control(Campaign(dims=(2, 2), ensemble=hs(0), samples=5,
+                                    inequalities=("subadd", "gen-pseudo")))
+    assert rep.total_violations == 10 and rep.control_tripped()
+    rep.stats["subadd"].violations = 3    # 8 of 10 pairs tripped
+    assert not rep.control_tripped()
+    rep.stats["subadd"].violations = 4    # 9 of 10
+    assert rep.control_tripped()
+
+
 def test_campaign_rejects_repeated_check_name():
     # a repeated name would share one stats entry while the report lists it
     # twice, so the negation control would expect twice the violations
