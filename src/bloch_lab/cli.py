@@ -3,7 +3,7 @@
 Subcommands: basis, state, tensor, monotone, entropy, check, verify, sweep.
 Exit codes: 0 success, 1 verification failure (violations found, or a
 failed negation control), 2 usage or input errors (including malformed
-state files).
+state files, and a flag that the check or figure does not read).
 
 A ``--config FILE`` of key=value lines supplies defaults for the options
 named by the keys of ``_CONFIG_TYPES`` (option name with dashes as
@@ -60,6 +60,14 @@ def _resolve(args, name: str, default):
         raw = config[name]
         return _parse_bool(raw) if conv == "bool" else conv(raw)
     return default
+
+
+def _reject_unread(args, flags, read, target: str) -> None:
+    """Exit 2 on an explicit flag that ``target`` does not read; config-file
+    keys stay shared defaults and are never rejected."""
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in read:
+            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {target}")
 
 
 def _default_seed() -> int:
@@ -197,12 +205,10 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_check(args) -> int:
     state = load_state(args.state)
-    # an explicit flag the check does not read is an error; config-file keys
-    # stay shared defaults
     takes = () if args.inequality == "dim-ssa-vs-subadd" else _CHECKS[args.inequality][2]
-    for flag, option in (("q", "q"), ("d_e", "d_e"), ("restarts", "config"), ("seed", "config")):
-        if getattr(args, flag) is not None and option not in takes:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to {args.inequality}")
+    # "config" means the check reads an OptimizerConfig, built from --restarts and --seed
+    read = {*takes, *(("restarts", "seed") if "config" in takes else ())}
+    _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
     cfg = OptimizerConfig(restarts=_resolve(args, "restarts", 32),
                           seed=_resolve(args, "seed", _default_seed()))
     if args.inequality == "dim-ssa-vs-subadd":
@@ -236,7 +242,7 @@ def _cmd_verify(args) -> int:
     return 1 if report.total_violations > 0 else 0
 
 
-# figure -> (sweep, JSON form, CSV writer, options passed on only when given)
+# figure -> (sweep, JSON form, CSV writer, options it reads, passed on only when given)
 _SWEEPS = {
     "fig1": (sweep_fig1, fig1_to_jsonable, write_fig1_csv, ("d_values", "case", "points")),
     "figa": (sweep_figA, figA_to_jsonable, write_figA_csv, ("dims", "resolution")),
@@ -253,6 +259,8 @@ def _cmd_sweep(args) -> int:
     if figure not in _SWEEPS:
         raise ValueError(f"invalid figure {args.figure!r}: use fig1, figA or figB")
     sweep, to_jsonable, writer, names = _SWEEPS[figure]
+    _reject_unread(args, dict.fromkeys(n for *_, ns in _SWEEPS.values() for n in ns), names,
+                   args.figure)
     options = {}
     for name in names:
         value = _resolve(args, name, None)

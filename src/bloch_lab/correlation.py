@@ -172,15 +172,20 @@ def purity_from_tensor(coeffs: BlochCoefficients) -> float:
     return (1.0 + sum(all_subset_norms(coeffs).values())) / prod(coeffs.dims)
 
 
-def split_purity(coeffs: BlochCoefficients) -> float:
-    """Weighted Parseval purity for a two-site system with one split site."""
-    _require_one_split(coeffs)
+def _inverse_norm_weights(coeffs: BlochCoefficients) -> np.ndarray:
+    """Per-entry weight 1/(n_i1 * ... * n_in) of the coefficient array."""
     w = np.ones((), dtype=float)
     for j, b in enumerate(coeffs.bases):
         shape = [1] * coeffs.n_sites
         shape[j] = len(b)
         w = w * (1.0 / b.norms()).reshape(shape)
-    return float((coeffs.array * coeffs.array * w).sum())
+    return w
+
+
+def split_purity(coeffs: BlochCoefficients) -> float:
+    """Weighted Parseval purity for a two-site system with one split site."""
+    _require_one_split(coeffs)
+    return float((coeffs.array * coeffs.array * _inverse_norm_weights(coeffs)).sum())
 
 
 def _require_one_split(coeffs: BlochCoefficients) -> tuple[int, int]:
@@ -227,12 +232,7 @@ def split_sector_norms(coeffs: BlochCoefficients) -> SplitSectorNorms:
 def reconstruct(coeffs: BlochCoefficients) -> DensityMatrix:
     """Rebuild the state from its coefficients (round-trips to 1e-12)."""
     n = coeffs.n_sites
-    W = coeffs.array.astype(float, copy=True)
-    for j, b in enumerate(coeffs.bases):
-        shape = [1] * n
-        shape[j] = len(b)
-        W = W * (1.0 / b.norms()).reshape(shape)
-    X = W.astype(complex)
+    X = (coeffs.array * _inverse_norm_weights(coeffs)).astype(complex)
     for j in range(n):
         X = np.tensordot(X, coeffs.bases[j].stack(), axes=([0], [0]))
     # axes now (r_0, c_0, ..., r_{n-1}, c_{n-1}) -> rows first, then columns

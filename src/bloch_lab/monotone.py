@@ -53,6 +53,8 @@ SPLIT_MEMO_SIZE = 2
 # each restart's first shift as a fraction of sigma (0.25 took the fewest
 # sweeps in a survey; at 0.15 or less the slowest solves grew)
 SHIFT_START = 0.25
+# a restart whose taken step gains less than this freezes
+STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,11 @@ class OptimizerConfig:
     """Settings for the split-basis maximization.
 
     ``max_sweeps`` caps the eigen-steps per restart; a restart whose step
-    gains less than ``tol`` freezes.
+    gains less than ``STEP_TOL`` freezes.
     """
 
     restarts: int = 32
     max_sweeps: int = 500
-    tol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -107,8 +108,6 @@ class OptimizerConfig:
             n = getattr(self, name)
             if not isinstance(n, Integral) or n < 1:
                 raise ValueError(f"invalid {name} {n!r}: need an integer >= 1")
-        if not (isfinite(self.tol) and self.tol >= 0.0):
-            raise ValueError(f"invalid tol {self.tol!r}: need a finite number >= 0")
 
 
 @dataclass
@@ -141,7 +140,6 @@ class MonotoneResult:
     delta: float
     heuristic_max: bool
     unitary: np.ndarray | None
-    partition: tuple[tuple[int, ...], tuple[int, ...]]
     sweeps: int = 0
     restart_values: tuple[float, ...] = ()
 
@@ -256,7 +254,7 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     A smaller shift steps further: sigma_r starts at SHIFT_START sigma, and
     a step at sigma_r < sigma that would lower Q is not taken; the restart
     keeps its U for that sweep and doubles sigma_r, capped at sigma.  A
-    taken step that gained less than ``tol`` freezes its restart with the Q
+    taken step that gained less than STEP_TOL freezes its restart with the Q
     of its last U, what a run of that restart alone gives.  Q after a step
     is read from the gradient that also serves the next step.
     ``values`` holds every restart's final Q in restart order; the winner
@@ -286,7 +284,7 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
             U_new[back], phi_new[back], P_new[back], cur[back] = U[back], phi[back], P[back], prev[back]
             shift[back] = np.minimum(2.0 * shift[back], sigma)
         U, phi, P = U_new, phi_new, P_new
-        done = (cur - prev < config.tol) & ~back
+        done = (cur - prev < STEP_TOL) & ~back
         if done.any():
             values[live[done]] = cur[done]
             final_U[live[done]] = U[done]
@@ -319,32 +317,28 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
         policy = default_policy(omega, sigma)
     g = policy.resolve(d_om, d_sg)
     considered = tuple(sorted(omega + sigma))
-    remap = {site: i for i, site in enumerate(considered)}
-    omega_r, sigma_r = tuple(remap[s] for s in omega), tuple(remap[s] for s in sigma)
 
     if len(omega) > 1 or len(sigma) > 1 or d_om == d_sg:
         raw = (d_om * d_sg * _marginal_purity(state, considered)
                - d_om * _marginal_purity(state, omega) - d_sg * _marginal_purity(state, sigma) + 1.0)
         return MonotoneResult(value=raw / g, g=g, raw=raw, converged=True, restarts=0,
-                              delta=0.0, heuristic_max=False, unitary=None,
-                              partition=(omega_r, sigma_r))
+                              delta=0.0, heuristic_max=False, unitary=None)
 
-    # single site vs single site, unequal dimensions: optimize the split
+    # single site vs single site, unequal dimensions: optimize the split on
+    # their two-site marginal, whose sites keep their order
     state = partial_trace(state, considered)
-    omega, sigma = omega_r, sigma_r
     small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
+    c = min(d_om, d_sg)
     config = config or OptimizerConfig()
     values, U, converged, sweeps, compressed = _solve_split(
-        state.matrix.tobytes(), state.dims[small_site], state.dims[large_site],
-        small_site < large_site, config)
+        state.matrix.tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
     raw = max(values)
     # (c/(d_B - c)) times the split-basis mass outside the low joint block,
     # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
-    c = state.dims[small_site]
     delta = c * c * (state.purity() - compressed)
     return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
                           restarts=config.restarts, delta=delta,
-                          heuristic_max=not state.is_pure(), unitary=U, partition=(omega, sigma),
+                          heuristic_max=not state.is_pure(), unitary=U,
                           sweeps=sweeps, restart_values=values)
 
 

@@ -301,6 +301,22 @@ def test_sweep_rejects_wrong_number_of_dims(capsys):
     assert "invalid dims (2, 2, 2): need 2 site dimensions, each >= 2" in err
 
 
+@pytest.mark.parametrize("flags", [("--figure", "fig1", "--dims", "9,9", "--resolution", "3"),
+                                   ("--figure", "figA", "--case", "best", "--points", "3")])
+def test_sweep_rejects_flags_the_figure_does_not_read(capsys, flags):
+    code, out, err = run(capsys, "sweep", *flags, "--format", "json")
+    assert code == 2 and not out
+    assert f"does not apply to {flags[1]}" in err
+
+
+def test_sweep_config_keys_stay_shared_defaults(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("dims=2,2,2\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "sweep", "--figure", "fig1",
+                       "--points", "3", "--format", "json")
+    assert code == 0 and len(json.loads(out)["t"]) == 3
+
+
 def test_sweep_csv_requires_out(capsys):
     code, _, err = run(capsys, "sweep", "--figure", "fig1", "--format", "csv")
     assert code == 2

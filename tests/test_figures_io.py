@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +122,28 @@ def test_figure_csv_bytes_are_frozen(tmp_path, sweep, writer, digest):
     path = tmp_path / "fig.csv"
     writer(sweep(), path, deterministic=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# the deterministic bytes of the six standard figure files are frozen: the file
+# set, cell formatting and row order may not drift
+STANDARD_FIGURE_FILES = {
+    "fig1_worst.csv": "200be7bcfc07db6bc7acabe401d39fd79444931408b0ebb69ce749442f77e91c",
+    "fig1_best.csv": "8860ada511f93ab9ae62f007bf069ed81953cb62a4e22a4fea8c8a0fa6cb0353",
+    "figA_surfaces.csv": "a1d85d49e0edce9c37ab23f60f049f2257aaee509ff37a8c26b185c1e132cb47",
+    "figA_surfaces.json": "5fc263b2f5e7cd86e9c41e9ed2bc2edb770f739ec928c8eeb0c54c424ad2e6c8",
+    "figB_triples_2x2x2.csv": "496b2eec1f67bc06544ac68707cc68c003b23f4b3f0cea299284b8f485e629fb",
+    "figB_triples_2x2x100.csv": "2c7e7b71fd6d875e45a05940d9c9f0954bfc33b4adcbd4ad0c5edd84c6d3390c",
+}
+
+
+def test_figure_driver_writes_the_standard_files(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+    spec = importlib.util.spec_from_file_location("make_figure_data", path)
+    driver = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(driver)
+    assert driver.main(["--deterministic", "--out-dir", str(tmp_path)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert written == STANDARD_FIGURE_FILES
 
 
 def test_fig1_csv_deterministic_and_schema(tmp_path):
