@@ -21,7 +21,7 @@ antisymmetric pairs.  Blocks are emitted low, high, cross.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ SYM = "sym"
 ANTISYM = "antisym"
 
 
-@dataclass
+@dataclass(eq=False)
 class BasisElement:
     """One basis matrix with its sector tag, index labels and declared norm.
 
@@ -57,19 +57,25 @@ class BasisElement:
         self.matrix.setflags(write=False)
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorBasis:
     """Ordered hermitian operator basis for one site.
 
     ``cut`` is None for the canonical basis and the low-block size for a
-    split basis.  The elements satisfy Tr(E_i E_j) = norm_i delta_ij.
+    split basis.  The elements satisfy Tr(E_i E_j) = norm_i delta_ij.  The
+    read-only stack and norms are built from ``elements`` at construction,
+    so a basis made by ``dataclasses.replace`` reads its own matrices.
     """
 
     dim: int
     cut: int | None
     elements: tuple[BasisElement, ...]
-    _stack: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._stack = np.stack([e.matrix for e in self.elements])
+        self._norms = np.array([e.norm for e in self.elements])
+        self._stack.setflags(write=False)
+        self._norms.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,17 +92,11 @@ class OperatorBasis:
         return self.cut * self.cut
 
     def stack(self) -> np.ndarray:
-        """All matrices as one (n, dim, dim) array, built once and cached."""
-        if self._stack is None:
-            s = np.stack([e.matrix for e in self.elements])
-            s.setflags(write=False)
-            self._stack = s
+        """All matrices as one read-only (n, dim, dim) array."""
         return self._stack
 
     def norms(self) -> np.ndarray:
         """Declared Tr(E^2) per element, aligned with ``elements``."""
-        if self._norms is None:
-            self._norms = np.array([e.norm for e in self.elements])
         return self._norms
 
 

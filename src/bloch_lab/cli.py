@@ -62,6 +62,12 @@ def _resolve(args, name: str, default):
     return default
 
 
+def _given(args, *names) -> dict:
+    """The options among ``names`` that a flag or config key gave; the library
+    supplies the defaults of the rest."""
+    return {name: value for name in names if (value := _resolve(args, name, None)) is not None}
+
+
 def _reject_unread(args, flags, read, target: str) -> None:
     """Exit 2 on an explicit flag that ``target`` does not read; config-file
     keys stay shared defaults and are never rejected."""
@@ -91,7 +97,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _parse_partition(text: str, n_sites: int):
-    """'A|BE' -> ((0,), (1, 2)); letters address sites in order, E = last site."""
+    """'A|BE' -> ((0,), (1, 2)).  Letter k of the alphabet is site k (A = 0); E is
+    site 4 on states of five or more sites, and the last site on smaller ones."""
     if text.count("|") != 1:
         raise ValueError(f"invalid partition {text!r}: need exactly one '|'")
     sides = []
@@ -124,12 +131,12 @@ def _parse_policy(text: str | None) -> NormalizationPolicy | None:
 
 
 def _ensemble_from_args(args) -> EnsembleSpec:
-    seed = _resolve(args, "seed", _default_seed())
-    kind = _resolve(args, "ensemble", "hilbert-schmidt")
+    options = _given(args, "rank_cap")
+    if (kind := _resolve(args, "ensemble", None)) is not None:
+        options["kind"] = kind
     factors = getattr(args, "factors", None)
-    return EnsembleSpec(kind=kind, seed=seed,
-                        rank_cap=_resolve(args, "rank_cap", None),
-                        factors=tuple(factors.split(",")) if factors else None)
+    return EnsembleSpec(seed=_resolve(args, "seed", _default_seed()),
+                        factors=tuple(factors.split(",")) if factors else None, **options)
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -154,7 +161,7 @@ def _cmd_basis(args) -> int:
 def _cmd_state(args) -> int:
     dims = _parse_dims(args.dims)
     spec = _ensemble_from_args(args)
-    state = random_state(dims, spec, index=_resolve(args, "index", 0))
+    state = random_state(dims, spec, **_given(args, "index"))
     _emit(state_to_jsonable(state), args.out)
     return 0
 
@@ -177,8 +184,7 @@ def _cmd_tensor(args) -> int:
 def _cmd_monotone(args) -> int:
     state = load_state(args.state)
     partition = _parse_partition(args.partition, state.n_sites)
-    cfg = OptimizerConfig(restarts=_resolve(args, "restarts", 32),
-                          seed=_resolve(args, "seed", _default_seed()))
+    cfg = OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
     result = correlation_monotone(state, partition,
                                   policy=_parse_policy(_resolve(args, "policy", None)), config=cfg)
     _emit(monotone_to_jsonable(result), args.out)
@@ -209,8 +215,7 @@ def _cmd_check(args) -> int:
     # "config" means the check reads an OptimizerConfig, built from --restarts and --seed
     read = {*takes, *(("restarts", "seed") if "config" in takes else ())}
     _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
-    cfg = OptimizerConfig(restarts=_resolve(args, "restarts", 32),
-                          seed=_resolve(args, "seed", _default_seed()))
+    cfg = OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
     if args.inequality == "dim-ssa-vs-subadd":
         # a negative margin is no violation, so this comparison is not a campaign check
         report = dim_ssa_vs_subadd(state)
@@ -229,10 +234,9 @@ def _cmd_verify(args) -> int:
         dims=dims,
         ensemble=_ensemble_from_args(args),
         inequalities=names,
-        samples=_resolve(args, "samples", 1000),
-        restarts=_resolve(args, "restarts", 8),
         negate=bool(args.negate_control),
         out_dir=args.out_dir,
+        **_given(args, "samples", "restarts"),
     )
     report = run_campaign(campaign)
     deterministic = bool(_resolve(args, "deterministic", False))
@@ -261,11 +265,8 @@ def _cmd_sweep(args) -> int:
     sweep, to_jsonable, writer, names = _SWEEPS[figure]
     _reject_unread(args, dict.fromkeys(n for *_, ns in _SWEEPS.values() for n in ns), names,
                    args.figure)
-    options = {}
-    for name in names:
-        value = _resolve(args, name, None)
-        if value is not None:
-            options[name] = _parse_dims(value) if name in ("dims", "d_values") else value
+    options = {name: _parse_dims(value) if name in ("dims", "d_values") else value
+               for name, value in _given(args, *names).items()}
     data = sweep(**options)
     if fmt == "csv":
         if not args.out:
@@ -323,7 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("monotone", help="correlation monotone across a bipartition", parents=[shared])
     sp.add_argument("--state", required=True)
-    sp.add_argument("--partition", required=True, help="e.g. A|BE (E = last site)")
+    sp.add_argument("--partition", required=True,
+                    help="e.g. A|BE (A = site 0; E = the last site below five sites)")
     sp.add_argument("--policy", default=None,
                     help="unit-range | separable-bound | explicit:VALUE")
     sp.add_argument("--restarts", type=int, default=None)

@@ -52,7 +52,8 @@ class SplitSectorNorms:
     sub-identity); the six norms split the remaining mass by which side
     carries a traceless element (the canonical site, the split site, or
     both), separately for the low and high sectors of the split site.
-    ``purity()`` reassembles Tr(rho^2) with the sector weights.
+    ``split_purity`` weighs the low sector by 1/(d_canonical * cut) and the
+    high sector by 1/(d_canonical * (d_split - cut)).
     """
 
     c0: float
@@ -63,13 +64,6 @@ class SplitSectorNorms:
     high_canonical: float
     high_split: float
     high_joint: float
-    low_weight: float
-    high_weight: float
-
-    def purity(self) -> float:
-        low = self.c0 + self.low_canonical + self.low_split + self.low_joint
-        high = self.c0p + self.high_canonical + self.high_split + self.high_joint
-        return low * self.low_weight + high * self.high_weight
 
 
 def default_bases(dims) -> tuple[OperatorBasis, ...]:
@@ -119,6 +113,12 @@ def bloch_coefficients(state: DensityMatrix, bases=None) -> BlochCoefficients:
     return BlochCoefficients(bases=bases, array=np.ascontiguousarray(arr.real))
 
 
+def _mass(array: np.ndarray, index) -> float:
+    """Squared mass of ``array[index]``."""
+    block = array[index]
+    return float((block * block).sum())
+
+
 def tensor_norm_sq(coeffs: BlochCoefficients, subset) -> float:
     """||T^v||^2: squared mass of the slice with indices >= 1 exactly on v.
 
@@ -126,9 +126,8 @@ def tensor_norm_sq(coeffs: BlochCoefficients, subset) -> float:
     sub-identity).
     """
     v = _check_sites(subset, coeffs.n_sites, "subset")
-    sl = tuple(slice(1, None) if j in v else 0 for j in range(coeffs.n_sites))
-    block = coeffs.array[sl]
-    return float((block * block).sum())
+    return _mass(coeffs.array, tuple(slice(1, None) if j in v else 0
+                                     for j in range(coeffs.n_sites)))
 
 
 def all_subset_norms(coeffs: BlochCoefficients) -> dict[tuple[int, ...], float]:
@@ -139,13 +138,6 @@ def all_subset_norms(coeffs: BlochCoefficients) -> dict[tuple[int, ...], float]:
         for v in combinations(range(n), r):
             out[v] = tensor_norm_sq(coeffs, v)
     return out
-
-
-def _support_mass(coeffs: BlochCoefficients, allowed: tuple[int, ...]) -> float:
-    """Squared mass of all entries whose support lies within ``allowed``."""
-    sl = tuple(slice(None) if j in allowed else 0 for j in range(coeffs.n_sites))
-    block = coeffs.array[sl]
-    return float((block * block).sum())
 
 
 def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
@@ -160,9 +152,12 @@ def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
         raise ValueError(f"invalid partition: overlapping groups {omega} and {sigma}")
     if set(omega) | set(sigma) != set(range(coeffs.n_sites)):
         raise ValueError("invalid partition: groups must cover all sites of the coefficient array")
-    total = float((coeffs.array * coeffs.array).sum())
-    c00 = float(coeffs.array[(0,) * coeffs.n_sites] ** 2)
-    return total - _support_mass(coeffs, omega) - _support_mass(coeffs, sigma) + c00
+    n = coeffs.n_sites
+
+    def within(group) -> float:  # mass of the entries supported within group
+        return _mass(coeffs.array, tuple(slice(None) if j in group else 0 for j in range(n)))
+
+    return _mass(coeffs.array, ()) - within(omega) - within(sigma) + _mass(coeffs.array, (0,) * n)
 
 
 def purity_from_tensor(coeffs: BlochCoefficients) -> float:
@@ -201,31 +196,19 @@ def _require_one_split(coeffs: BlochCoefficients) -> tuple[int, int]:
 
 def split_sector_norms(coeffs: BlochCoefficients) -> SplitSectorNorms:
     """Sector-resolved coefficient masses for a two-site, one-split system."""
-    canon, s = _require_one_split(coeffs)
-    b = coeffs.bases[s]
-    c = b.cut
-    nlow = b.low_count
+    _, s = _require_one_split(coeffs)
+    nlow = coeffs.bases[s].low_count
     arr = coeffs.array if s == 1 else coeffs.array.T
     # arr axes: (canonical site, split site)
-    d_canon = coeffs.bases[canon].dim
-
-    def mass(rows, cols) -> float:
-        block = arr[rows, cols]
-        return float((block * block).sum())
-
-    c0 = float(arr[0, 0] ** 2)
-    c0p = float(arr[0, nlow] ** 2)
     return SplitSectorNorms(
-        c0=c0,
-        c0p=c0p,
-        low_canonical=mass(slice(1, None), slice(0, 1)),
-        low_split=mass(slice(0, 1), slice(1, nlow)),
-        low_joint=mass(slice(1, None), slice(1, nlow)),
-        high_canonical=mass(slice(1, None), slice(nlow, nlow + 1)),
-        high_split=mass(slice(0, 1), slice(nlow + 1, None)),
-        high_joint=mass(slice(1, None), slice(nlow + 1, None)),
-        low_weight=1.0 / (d_canon * c),
-        high_weight=1.0 / (d_canon * (b.dim - c)),
+        c0=_mass(arr, (0, 0)),
+        c0p=_mass(arr, (0, nlow)),
+        low_canonical=_mass(arr, (slice(1, None), slice(0, 1))),
+        low_split=_mass(arr, (slice(0, 1), slice(1, nlow))),
+        low_joint=_mass(arr, (slice(1, None), slice(1, nlow))),
+        high_canonical=_mass(arr, (slice(1, None), slice(nlow, nlow + 1))),
+        high_split=_mass(arr, (slice(0, 1), slice(nlow + 1, None))),
+        high_joint=_mass(arr, (slice(1, None), slice(nlow + 1, None))),
     )
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisElement, OperatorBasis
+from .basis import OperatorBasis
 from .correlation import (BlochCoefficients, all_subset_norms, purity_from_tensor,
                           split_purity, split_sector_norms)
 from .states import DensityMatrix, from_matrix
@@ -34,7 +34,7 @@ def _pairs_to_matrix(pairs, d: int, what: str) -> np.ndarray:
     out = np.empty(d * d, dtype=complex)
     for i, p in enumerate(pairs):
         if not (isinstance(p, list) and len(p) == 2
-                and all(isinstance(x, (int, float)) for x in p)):
+                and all(type(x) in (int, float) for x in p)):  # a JSON true/false is no number
             raise ValueError(f"malformed {what}: matrix entry {i} is not a [re, im] pair")
         out[i] = complex(p[0], p[1])
     return out.reshape(d, d)
@@ -52,7 +52,7 @@ def state_from_jsonable(obj) -> DensityMatrix:
         raise ValueError(f"malformed state: missing field(s) {', '.join(missing)}")
     dims = obj["dims"]
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and d >= 1 for d in dims)):
+            or not all(type(d) is int and d >= 1 for d in dims)):  # a bool is no dimension
         raise ValueError(f"malformed state: dims must be a list of positive integers, got {dims!r}")
     d = prod(dims)
     matrix = _pairs_to_matrix(obj["matrix"], d, "state")
@@ -88,37 +88,14 @@ def basis_to_jsonable(basis: OperatorBasis) -> dict:
     }
 
 
-def basis_from_jsonable(obj) -> OperatorBasis:
-    if not isinstance(obj, dict) or "dim" not in obj or "elements" not in obj:
-        raise ValueError("malformed basis: need fields dim, cut, elements")
-    d = obj["dim"]
-    if not isinstance(d, int) or d < 2:
-        raise ValueError(f"malformed basis: dim must be an integer >= 2, got {d!r}")
-    cut = obj.get("cut")
-    elements = []
-    for i, rec in enumerate(obj["elements"]):
-        if not isinstance(rec, dict) or any(k not in rec for k in ("sector", "k", "l", "matrix")):
-            raise ValueError(f"malformed basis: element {i} needs sector, k, l, matrix")
-        m = _pairs_to_matrix(rec["matrix"], d, f"basis element {i}")
-        norm = float(np.vdot(m, m).real)
-        elements.append(BasisElement(rec["sector"], int(rec["k"]), int(rec["l"]), m, norm))
-    return OperatorBasis(dim=d, cut=cut, elements=tuple(elements))
-
-
 def tensor_to_jsonable(coeffs: BlochCoefficients) -> dict:
     """Subset norms plus purity; sector scalars only when a split site is present."""
     if any(b.is_split for b in coeffs.bases):
         sec = split_sector_norms(coeffs)
         split_site = next(j for j, b in enumerate(coeffs.bases) if b.is_split)
-        canon_site = 1 - split_site
-        subsets = [
-            {"v": [canon_site], "sector": "low", "norm_sq": sec.low_canonical},
-            {"v": [split_site], "sector": "low", "norm_sq": sec.low_split},
-            {"v": [0, 1], "sector": "low", "norm_sq": sec.low_joint},
-            {"v": [canon_site], "sector": "high", "norm_sq": sec.high_canonical},
-            {"v": [split_site], "sector": "high", "norm_sq": sec.high_split},
-            {"v": [0, 1], "sector": "high", "norm_sq": sec.high_joint},
-        ]
+        roles = {"canonical": [1 - split_site], "split": [split_site], "joint": [0, 1]}
+        subsets = [{"v": list(v), "sector": sector, "norm_sq": getattr(sec, f"{sector}_{role}")}
+                   for sector in ("low", "high") for role, v in roles.items()]
         return {"dims": [b.dim for b in coeffs.bases], "subsets": subsets,
                 "c0": sec.c0, "c0p": sec.c0p, "purity": split_purity(coeffs)}
     subsets = [{"v": list(v), "norm_sq": n} for v, n in sorted(all_subset_norms(coeffs).items())]

@@ -168,11 +168,14 @@ def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
     names = campaign.inequalities
     names = (names,) if isinstance(names, str) else tuple(names)  # one bare name is one check
     if names == ("all",):
-        return applicable_inequalities(campaign.dims)
-    for k, name in enumerate(names):
-        _check_for(name, campaign.dims)  # raises on an unknown or inapplicable name
-        if name in names[:k]:
-            raise ValueError(f"inequality {name!r} is listed more than once")
+        names = applicable_inequalities(campaign.dims)
+    else:
+        for k, name in enumerate(names):
+            _check_for(name, campaign.dims)  # raises on an unknown or inapplicable name
+            if name in names[:k]:
+                raise ValueError(f"inequality {name!r} is listed more than once")
+    if not names:  # a campaign without checks would pass without evidence
+        raise ValueError(f"no inequality selected that applies to dims {tuple(campaign.dims)}")
     return names
 
 

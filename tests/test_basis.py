@@ -103,6 +103,22 @@ def test_corrupted_element_is_detected():
     assert rep.max_offdiag > 1e-3
 
 
+def test_replaced_basis_checks_its_own_elements():
+    # the stack is built from the basis's own elements, so reading it before
+    # dataclasses.replace cannot hide a corrupted element afterwards
+    b = gellmann_basis(3)
+    b.stack()
+    elements = list(b.elements)
+    bad_matrix = elements[3].matrix + 0.1 * elements[5].matrix
+    elements[3] = dataclasses.replace(elements[3], matrix=bad_matrix)
+    bad = dataclasses.replace(b, elements=tuple(elements))
+    assert verify_orthogonality(bad).max_offdiag > 1e-3
+    assert not bad.stack().flags.writeable and not bad.norms().flags.writeable
+    # equality is identity: it never compares arrays
+    assert b == b and b != bad and b != gellmann_basis(3)
+    assert b.elements[3] == b.elements[3] and b.elements[3] != bad.elements[3]
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         gellmann_basis(MAX_DIM + 1)

@@ -8,11 +8,11 @@ import sys
 
 import pytest
 
-from bloch_lab import (EnsembleSpec, OptimizerConfig, check_dim_ssa,
+from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, check_dim_ssa,
                        check_gen_pseudo_additivity, check_lemma5, check_lemma6,
                        check_subadditivity, check_thm1_i, check_thm1_ii,
                        dim_ssa_vs_subadd, random_state, save_state)
-from bloch_lab.cli import main
+from bloch_lab.cli import _parse_partition, main
 from bloch_lab.io import report_to_jsonable
 from bloch_lab.verify import CHECK_ORDER, applicable_inequalities
 
@@ -77,6 +77,28 @@ def test_three_site_partition_letters(capsys, tmp_path):
                        "--partition", "A|BE")
     assert code == 0
     assert json.loads(out)["g"] == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("n_sites, sides", [(3, ((0,), (2,))), (5, ((0,), (4,))),
+                                            (6, ((0,), (4,)))])
+def test_partition_letter_e_is_the_last_site_only_below_five_sites(n_sites, sides):
+    assert _parse_partition("A|E", n_sites) == sides
+
+
+def test_verify_leaves_defaults_to_the_library(capsys, monkeypatch):
+    import bloch_lab.cli as cli
+
+    monkeypatch.delenv("BLOCH_LAB_SEED", raising=False)
+    seen = []
+
+    def capture(campaign):
+        seen.append(campaign)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "run_campaign", capture)
+    code, _, err = run(capsys, "verify", "--dims", "2,2")
+    assert code == 2 and "captured" in err
+    assert seen == [Campaign(dims=(2, 2), ensemble=EnsembleSpec(seed=0))]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +179,17 @@ def test_non_finite_state_file_is_usage_error(capsys, tmp_path):
     assert code == 2 and "finite" in err and not out
 
 
+@pytest.mark.parametrize("payload", [
+    {"dims": [True, 2], "matrix": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]},
+    {"dims": [2], "matrix": [[True, False], [0, 0], [0, 0], [0, 0]]},
+], ids=["bool-dim", "bool-entry"])
+def test_boolean_in_state_file_is_usage_error(capsys, tmp_path, payload):
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "entropy", "--state", str(bad))
+    assert code == 2 and "malformed state" in err and not out
+
+
 def test_bad_partition_is_usage_error(capsys, tmp_path):
     state_file = str(tmp_path / "s.json")
     run(capsys, "state", "random", "--dims", "2,2", "--seed", "1",
@@ -228,6 +261,15 @@ def test_empty_campaign_is_usage_error(capsys, samples):
         code, out, err = run(capsys, "verify", "--dims", "2,2", "--samples", samples, *extra)
         assert code == 2, extra
         assert "samples" in err and not out, extra
+
+
+def test_verify_without_checks_is_usage_error(capsys):
+    # a single site has no applicable check, so no campaign can give evidence
+    for extra in ((), ("--negate-control",)):
+        code, out, err = run(capsys, "--deterministic", "verify", "--dims", "5",
+                             "--samples", "3", *extra)
+        assert code == 2, extra
+        assert "no inequality" in err and not out, extra
 
 
 def test_verify_clean_run_exits_zero(capsys, tmp_path):

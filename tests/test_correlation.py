@@ -83,8 +83,13 @@ def test_split_purity_identity(site, cut):
         s = hs_state(dims, seed=47, index=i)
         co = bloch_coefficients(s, bases_with_split(dims, site, cut))
         assert split_purity(co) == pytest.approx(s.purity(), abs=1e-12)
+        # the same identity by sector: low mass / (d_canon c) + high mass / (d_canon (d - c))
         sn = split_sector_norms(co)
-        assert sn.purity() == pytest.approx(s.purity(), abs=1e-12)
+        low = sn.c0 + sn.low_canonical + sn.low_split + sn.low_joint
+        high = sn.c0p + sn.high_canonical + sn.high_split + sn.high_joint
+        d_canon, d_split = dims[1 - site], dims[site]
+        assert low / (d_canon * cut) + high / (d_canon * (d_split - cut)) == pytest.approx(
+            s.purity(), abs=1e-12)
 
 
 def test_purity_from_tensor_rejects_split():
@@ -107,27 +112,33 @@ def test_sector_norms_maximally_mixed():
     for mass in (sn.low_canonical, sn.low_split, sn.low_joint,
                  sn.high_canonical, sn.high_split, sn.high_joint):
         assert mass == pytest.approx(0.0, abs=1e-14)
-    assert sn.purity() == pytest.approx(1.0 / 6.0)
+    assert split_purity(co) == pytest.approx(1.0 / 6.0)
 
 
 def test_sector_norms_pure_high_block_product():
     # |0><0| x |2><2| on [2, 3] with c=2 puts all mass in the high sector
     s = tensor(pure(np.array([1.0, 0.0]), (2,)), pure(np.array([0, 0, 1.0]), (3,)))
-    sn = split_sector_norms(bloch_coefficients(s, bases_with_split((2, 3), 1, 2)))
+    co = bloch_coefficients(s, bases_with_split((2, 3), 1, 2))
+    sn = split_sector_norms(co)
     assert sn.c0 == pytest.approx(0.0, abs=1e-14)
     assert sn.c0p == pytest.approx(1.0)
     assert sn.high_canonical == pytest.approx(1.0)
     for mass in (sn.low_canonical, sn.low_split, sn.low_joint,
                  sn.high_split, sn.high_joint):
         assert mass == pytest.approx(0.0, abs=1e-14)
-    assert sn.purity() == pytest.approx(1.0)
+    assert split_purity(co) == pytest.approx(1.0)
 
 
 def test_sector_norms_accept_split_on_first_site():
     dims = (3, 2)
     s = hs_state(dims, seed=8)
-    sn = split_sector_norms(bloch_coefficients(s, bases_with_split(dims, 0, 1)))
-    assert sn.purity() == pytest.approx(s.purity(), abs=1e-12)
+    co = bloch_coefficients(s, bases_with_split(dims, 0, 1))
+    sn = split_sector_norms(co)
+    # split site 0 (d = 3, cut 1) against the qubit: low weight 1/2, high weight 1/4
+    low = sn.c0 + sn.low_canonical + sn.low_split + sn.low_joint
+    high = sn.c0p + sn.high_canonical + sn.high_split + sn.high_joint
+    assert low / 2 + high / 4 == pytest.approx(s.purity(), abs=1e-12)
+    assert split_purity(co) == pytest.approx(s.purity(), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

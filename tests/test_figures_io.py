@@ -17,7 +17,7 @@ from bloch_lab import (EnsembleSpec, classify_grid, classify_triple, max_entangl
                        validate_surface)
 from bloch_lab.basis import gellmann_basis, split_basis
 from bloch_lab.correlation import bases_with_split, bloch_coefficients
-from bloch_lab.io import (basis_from_jsonable, basis_to_jsonable, fig1_to_jsonable,
+from bloch_lab.io import (basis_to_jsonable, fig1_to_jsonable,
                           figA_to_jsonable, figB_to_jsonable, load_config,
                           monotone_to_jsonable, report_to_jsonable, state_from_jsonable,
                           state_to_jsonable, tensor_to_jsonable, write_fig1_csv,
@@ -225,14 +225,15 @@ def test_state_jsonable_field_errors():
         state_from_jsonable(bad)
 
 
-def test_basis_round_trip():
+def test_basis_json_matches_elements():
     for b in (gellmann_basis(3), split_basis(4, 2)):
-        again = basis_from_jsonable(basis_to_jsonable(b))
-        assert again.dim == b.dim
-        assert again.cut == b.cut
-        for e1, e2 in zip(b.elements, again.elements):
-            assert e1.sector == e2.sector
-            np.testing.assert_allclose(e1.matrix, e2.matrix, atol=1e-15)
+        payload = json.loads(json.dumps(basis_to_jsonable(b)))
+        assert (payload["dim"], payload["cut"]) == (b.dim, b.cut)
+        assert len(payload["elements"]) == len(b)
+        for e, rec in zip(b.elements, payload["elements"]):
+            assert (rec["sector"], rec["k"], rec["l"]) == (e.sector, e.k, e.l)
+            pairs = np.array(rec["matrix"])
+            np.testing.assert_array_equal(pairs[:, 0] + 1j * pairs[:, 1], e.matrix.ravel())
 
 
 def test_tensor_jsonable_shapes():

@@ -51,6 +51,15 @@ def test_campaign_rejects_empty_sample_count(samples):
             run_campaign(Campaign(dims=(2, 2), ensemble=hs(0), samples=samples, negate=negate))
 
 
+@pytest.mark.parametrize("dims, names", [((2, 2), ()), ((5,), ("all",))])
+def test_campaign_without_checks_is_rejected(dims, names):
+    # no selected check, or none that applies, would report clean without evidence
+    for negate in (False, True):
+        with pytest.raises(ValueError, match="no inequality"):
+            run_campaign(Campaign(dims=dims, ensemble=hs(0), inequalities=names, samples=3,
+                                  negate=negate))
+
+
 # ---------------------------------------------------------------------------
 # campaign runs
 
