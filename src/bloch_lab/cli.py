@@ -29,7 +29,7 @@ from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_
                  state_to_jsonable, tensor_to_jsonable, write_fig1_csv, write_figA_csv,
                  write_figB_csv)
 from .monotone import NormalizationPolicy, OptimizerConfig, correlation_monotone
-from .states import EnsembleSpec, partial_trace, random_state
+from .states import EnsembleSpec, _check_dims, partial_trace, random_state
 from .verify import _CHECKS, CHECK_ORDER, Campaign, _check_for, run_campaign
 
 _CONFIG_TYPES = {
@@ -91,9 +91,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"invalid dims {text!r}: expected comma-separated integers")
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dims {text!r}: need positive integers")
-    return dims
+    return _check_dims(dims)
 
 
 def _parse_partition(text: str, n_sites: int):
@@ -211,25 +209,23 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_check(args) -> int:
     state = load_state(args.state)
-    takes = () if args.inequality == "dim-ssa-vs-subadd" else _CHECKS[args.inequality][2]
+    # a negative margin is no violation, so dim-ssa-vs-subadd is not a campaign check
+    check, takes = _CHECKS.get(args.inequality, (dim_ssa_vs_subadd, ()))
     # "config" means the check reads an OptimizerConfig, built from --restarts and --seed
     read = {*takes, *(("restarts", "seed") if "config" in takes else ())}
     _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
     cfg = OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
-    if args.inequality == "dim-ssa-vs-subadd":
-        # a negative margin is no violation, so this comparison is not a campaign check
-        report = dim_ssa_vs_subadd(state)
-    else:
+    if args.inequality in _CHECKS:
         check = _check_for(args.inequality, state.dims, config=cfg,
                            q=_resolve(args, "q", None), d_e=_resolve(args, "d_e", None))
-        report = check(state)
-    _emit(report_to_jsonable(report), args.out)
+    _emit(report_to_jsonable(check(state)), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     dims = _parse_dims(args.dims)
-    names = tuple(args.inequalities.split(",")) if args.inequalities else ("all",)
+    # an empty --inequalities names no check, so the campaign rejects it
+    names = ("all",) if args.inequalities is None else tuple(args.inequalities.split(","))
     campaign = Campaign(
         dims=dims,
         ensemble=_ensemble_from_args(args),

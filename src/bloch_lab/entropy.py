@@ -21,7 +21,7 @@ from math import isfinite, prod
 
 import numpy as np
 
-from .reports import InequalityReport, report_from_sides
+from .reports import InequalityReport, _require_applicable, report_from_sides
 from .states import DensityMatrix, _marginal_purity, partial_trace
 
 EIG_CLIP_TOL = 1e-9
@@ -51,7 +51,7 @@ def _trace_power(state: DensityMatrix, q: float) -> float:
 
 def linear_entropy(state: DensityMatrix) -> float:
     """1 - Tr(rho^2)."""
-    return 1.0 - state.purity()
+    return _sl(state)
 
 
 def tsallis(state: DensityMatrix, q: float) -> float:
@@ -96,17 +96,20 @@ def _sl(state: DensityMatrix, keep=None) -> float:
     return 1.0 - _marginal_purity(state, range(state.n_sites) if keep is None else keep)
 
 
+def _abc(state: DensityMatrix, name: str):
+    """(dA, dB, C's sites, (dA dB + 1 - dA - dB)/(dA dB)) of dim-ssa's A|B|C grouping."""
+    _require_applicable(name, state.dims, rule="dim-ssa")
+    da, db = state.dims[0], state.dims[1]
+    return da, db, tuple(range(2, state.n_sites)), (da * db + 1 - da - db) / (da * db)
+
+
 def check_dim_ssa(state: DensityMatrix) -> InequalityReport:
     """Dimension-weighted strong-subadditivity form of the linear entropy.
 
     S(ABC) + S(C)/(dA dB) <= S(AC)/dB + S(BC)/dA + (dA dB + 1 - dA - dB)/(dA dB)
     with A = site 1, B = site 2, C = the rest.  Tight at maximal mixedness.
     """
-    if state.n_sites < 3:
-        raise ValueError(f"unsupported shape: need at least 3 sites, got {state.n_sites}")
-    da, db = state.dims[0], state.dims[1]
-    c_sites = tuple(range(2, state.n_sites))
-    const = (da * db + 1 - da - db) / (da * db)
+    da, db, c_sites, const = _abc(state, "dim-ssa")
     lhs = _sl(state) + _sl(state, c_sites) / (da * db)
     rhs = _sl(state, (0,) + c_sites) / db + _sl(state, (1,) + c_sites) / da + const
     return report_from_sides("dim-ssa", lhs, rhs, extras={"constant": const})
@@ -119,11 +122,7 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     exceeds the constant (dA dB + 1 - dA - dB)/(dA dB); the report's slack
     is that margin (negative means padded subadditivity wins there).
     """
-    if state.n_sites < 3:
-        raise ValueError(f"unsupported shape: need at least 3 sites, got {state.n_sites}")
-    da, db = state.dims[0], state.dims[1]
-    c_sites = tuple(range(2, state.n_sites))
-    const = (da * db + 1 - da - db) / (da * db)
+    da, db, c_sites, const = _abc(state, "dim-ssa-vs-subadd")
     comparison = ((1.0 - 1.0 / db) * _sl(state, (0,) + c_sites) + _sl(state, (1,))
                   - _sl(state, (1,) + c_sites) / da + _sl(state, c_sites) / (da * db))
     return report_from_sides("dim-ssa-vs-subadd", const, comparison,
@@ -132,8 +131,7 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
 
 def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityReport:
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
-    if state.n_sites < 2:
-        raise ValueError(f"unsupported shape: need at least 2 sites, got {state.n_sites}")
+    _require_applicable("subadd", state.dims)
     q = float(q)
     if q < 1.0:
         raise ValueError(f"invalid parameter q={q!r}: subadditivity needs q >= 1")
@@ -162,8 +160,7 @@ def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     1 - (dA dB / 4)(1 - S(AB) + 1/(dA dB))^2 <= S(A) + S(B) - S(A) S(B),
     tight at maximal mixedness; A = site 1, B = the rest.
     """
-    if state.n_sites < 2:
-        raise ValueError(f"unsupported shape: need at least 2 sites, got {state.n_sites}")
+    _require_applicable("gen-pseudo", state.dims)
     s_ab = _sl(state)
     s_a = _sl(state, (0,))
     s_b = _sl(state, range(1, state.n_sites))

@@ -9,6 +9,7 @@ unless deterministic output is requested.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import product
 from math import prod
@@ -104,15 +105,9 @@ def tensor_to_jsonable(coeffs: BlochCoefficients) -> dict:
 
 
 def report_to_jsonable(report) -> dict:
-    out = {
-        "inequality": report.inequality,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "slack": report.slack,
-        "holds": report.holds,
-    }
-    if report.extras:
-        out["extras"] = report.extras
+    out = asdict(report)
+    if not report.extras:
+        del out["extras"]
     return out
 
 

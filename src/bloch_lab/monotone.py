@@ -37,13 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite, prod
-from numbers import Integral
 
 import numpy as np
 
 from .errors import NotPureError
-from .reports import SLACK_TOL, InequalityReport, report_from_sides
-from .states import DensityMatrix, _check_sites, _marginal_purity, derive_seed, partial_trace
+from .reports import InequalityReport, _require_applicable, report_from_sides
+from .states import DensityMatrix, _check_count, _check_sites, _marginal_purity, derive_seed, partial_trace
 
 PURE_TOL = 1e-10
 # split solves kept by _solve_split: the most that one check makes on one
@@ -105,9 +104,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "max_sweeps"):
-            n = getattr(self, name)
-            if not isinstance(n, Integral) or n < 1:
-                raise ValueError(f"invalid {name} {n!r}: need an integer >= 1")
+            _check_count(name, getattr(self, name))
 
 
 @dataclass
@@ -388,16 +385,9 @@ def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None
 # inequality checks
 
 
-def _require_three_sites(state: DensityMatrix, name: str, equal_first_pair: bool) -> None:
-    if state.n_sites != 3:
-        raise ValueError(f"unsupported shape for {name}: need 3 sites, got {state.n_sites}")
-    if equal_first_pair and state.dims[0] != state.dims[1]:
-        raise ValueError(f"unsupported shape for {name}: need equal first-pair dimensions, got {state.dims}")
-
-
 def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Monogamy of the monotone: T(A|E) + T(B|E) <= (g_ABE/min(g_AE, g_BE)) T(AB|E)."""
-    _require_three_sites(state, "monogamy check", equal_first_pair=True)
+    _require_applicable("thm1i", state.dims)
     t_ae = correlation_monotone(state, ((0,), (2,)), config=config)
     t_be = correlation_monotone(state, ((1,), (2,)), config=config)
     t_abe = correlation_monotone(state, ((0, 1), (2,)))
@@ -430,7 +420,7 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
 
 def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
     """T(AB|E) cannot exceed the bound computed from the AB marginal."""
-    _require_three_sites(state, "marginal bound check", equal_first_pair=True)
+    _require_applicable("thm1ii", state.dims)
     t_abe = correlation_monotone(state, ((0, 1), (2,)))
     # P_AB comes from the state's own purity table, which T(AB|E) just filled
     bound = _eve_bound(state.dims[0], state.dims[2], _marginal_purity(state, (0, 1)))
@@ -445,8 +435,7 @@ def excess(value: float, d: int) -> float:
 
 def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
-    if state.n_sites != 3:
-        raise ValueError(f"unsupported shape: need 3 sites, got {state.n_sites}")
+    _require_applicable("lemma5", state.dims)
     t_ab = correlation_monotone(state, ((0,), (1,)), config=config)
     t_abe = correlation_monotone(state, ((0,), (1, 2)))
     lhs = (t_ab.g / t_abe.g) * t_ab.value
@@ -475,8 +464,7 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
 
 def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
     """Sandwich ||T^A||^2 + ||T^B||^2 between the bounds set by T(A|B)."""
-    if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
-        raise ValueError(f"unsupported shape for sandwich check: need two equal sites, got {state_ab.dims}")
+    _require_applicable("lemma6", state_ab.dims)
     d = state_ab.dims[0]
     if d_e is None:
         d_e = d * d
@@ -484,12 +472,5 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityR
     local = d * (_marginal_purity(state_ab, (0,)) + _marginal_purity(state_ab, (1,))) - 2.0
     t = correlation_monotone(state_ab, ((0,), (1,))).value
     lower, upper = lemma6_bounds(d, d_e, min(max(t, 0.0), 1.0))
-    slack = min(local - lower, upper - local)
-    return InequalityReport(
-        inequality="lemma6",
-        lhs=lower,
-        rhs=upper,
-        slack=float(slack),
-        holds=bool(slack >= -SLACK_TOL),
-        extras={"local_mass": float(local), "t": float(t), "d_e": int(d_e)},
-    )
+    return report_from_sides("lemma6", lower, upper, slack=min(local - lower, upper - local),
+                             extras={"local_mass": float(local), "t": float(t), "d_e": int(d_e)})

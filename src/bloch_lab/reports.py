@@ -1,4 +1,4 @@
-"""Shared result record for inequality checks."""
+"""Shared result record for inequality checks, and the shapes each check applies to."""
 
 from __future__ import annotations
 
@@ -7,13 +7,31 @@ from dataclasses import dataclass, field
 SLACK_TOL = 1e-9
 CANDIDATE_TOL = 1e-6
 
+# name -> whether the check applies to a tuple of site dimensions, in campaign order
+_APPLIES = {
+    "thm1i": lambda d: len(d) == 3 and d[0] == d[1],
+    "thm1ii": lambda d: len(d) == 3 and d[0] == d[1],
+    "lemma5": lambda d: len(d) == 3,
+    "lemma6": lambda d: len(d) == 2 and d[0] == d[1],
+    "dim-ssa": lambda d: len(d) >= 3,
+    "subadd": lambda d: len(d) >= 2,
+    "gen-pseudo": lambda d: len(d) >= 2,
+}
+
+
+def _require_applicable(name: str, dims, rule: str | None = None) -> None:
+    """ValueError unless the shape rule ``rule`` (default: ``name``'s) admits dims."""
+    if not _APPLIES[rule or name](dims):
+        raise ValueError(f"inequality {name!r} is not applicable to dims {dims}")
+
 
 @dataclass
 class InequalityReport:
     """Outcome of one inequality evaluation on one state.
 
-    ``slack`` is rhs - lhs; the check holds when slack >= -1e-9.  ``extras``
-    carries check-specific diagnostics (norms, margins, component values).
+    ``slack`` is rhs - lhs unless the check defines it otherwise; the check
+    holds when slack >= -1e-9.  ``extras`` carries check-specific
+    diagnostics (norms, margins, component values).
     """
 
     inequality: str
@@ -24,9 +42,10 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
 
-def report_from_sides(name: str, lhs: float, rhs: float, *,
+def report_from_sides(name: str, lhs: float, rhs: float, *, slack: float | None = None,
                       extras: dict | None = None) -> InequalityReport:
-    slack = rhs - lhs
+    """The report of lhs <= rhs; ``slack`` defaults to rhs - lhs."""
+    slack = rhs - lhs if slack is None else slack
     return InequalityReport(
         inequality=name,
         lhs=float(lhs),

@@ -22,6 +22,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
 from math import fsum, prod
+from numbers import Integral
 
 import numpy as np
 
@@ -72,6 +73,13 @@ def _check_dims(dims) -> tuple[int, ...]:
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid dimensions {dims!r}: need positive integers")
     return dims
+
+
+def _check_count(what: str, n, least: int = 1) -> int:
+    """n as an int; ValueError unless it is an integer >= least (a bool or float is not)."""
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
+        raise ValueError(f"invalid {what} {n!r}: need an integer >= {least}")
+    return int(n)
 
 
 def from_matrix(matrix, dims) -> DensityMatrix:

@@ -1,10 +1,10 @@
 """Monte-Carlo verification campaigns over random state ensembles.
 
-A campaign samples a deterministic ensemble, evaluates a set of inequality
-checks on every sample, and aggregates slacks.  Slack below -1e-9 counts
-as a violation; below -1e-6 the sample becomes a counterexample candidate,
-is re-evaluated with extended-precision (fsum) reductions, and, if
-confirmed, is dumped to ce_<hash>.json for inspection.
+A campaign samples a deterministic ensemble on sites of dimension >= 2 and
+evaluates every check whose shape rule (``reports._APPLIES``) admits its dims.
+Slack below -1e-9 counts as a violation; below -1e-6 the sample becomes a
+counterexample candidate, is re-evaluated by the same check with fsum
+reductions, and, if confirmed, is dumped to ce_<hash>.json for inspection.
 
 Samples are evaluated one after another in index order, and each draw
 depends only on (seed, index), so a report depends only on (dims, ensemble,
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -28,28 +28,30 @@ import numpy as np
 from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subadditivity)
 from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
                        check_thm1_ii)
-from .reports import CANDIDATE_TOL, SLACK_TOL
-from .states import DensityMatrix, EnsembleSpec, _fsum_purities, random_state
+from .reports import _APPLIES, CANDIDATE_TOL, SLACK_TOL, _require_applicable
+from .states import DensityMatrix, EnsembleSpec, _check_count, _fsum_purities, random_state
 
-# name -> (applies to these site dims?, check, keyword options it takes),
-# in campaign order
+# name -> (check, keyword options it takes), in campaign order; the shapes
+# each check applies to are reports._APPLIES
 _CHECKS = {
-    "thm1i": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_i, ("config",)),
-    "thm1ii": (lambda d: len(d) == 3 and d[0] == d[1], check_thm1_ii, ()),
-    "lemma5": (lambda d: len(d) == 3, check_lemma5, ("config",)),
-    "lemma6": (lambda d: len(d) == 2 and d[0] == d[1], check_lemma6, ("d_e",)),
-    "dim-ssa": (lambda d: len(d) >= 3, check_dim_ssa, ()),
-    "subadd": (lambda d: len(d) >= 2, check_subadditivity, ("q",)),
-    "gen-pseudo": (lambda d: len(d) >= 2, check_gen_pseudo_additivity, ()),
+    "thm1i": (check_thm1_i, ("config",)),
+    "thm1ii": (check_thm1_ii, ()),
+    "lemma5": (check_lemma5, ("config",)),
+    "lemma6": (check_lemma6, ("d_e",)),
+    "dim-ssa": (check_dim_ssa, ()),
+    "subadd": (check_subadditivity, ("q",)),
+    "gen-pseudo": (check_gen_pseudo_additivity, ()),
 }
 CHECK_ORDER = tuple(_CHECKS)
 CONTROL_TRIP_FRACTION = 0.9
+# split-optimizer restarts of campaigns and of the re-checks of their samples
+CAMPAIGN_RESTARTS = 8
 
 
 def applicable_inequalities(dims) -> tuple[str, ...]:
     """The checks that make sense for a site-dimension tuple, canonical order."""
     dims = tuple(int(d) for d in dims)
-    return tuple(name for name, (applies, _, _) in _CHECKS.items() if applies(dims))
+    return tuple(name for name in CHECK_ORDER if _APPLIES[name](dims))
 
 
 def _check_for(name: str, dims, **options):
@@ -60,22 +62,28 @@ def _check_for(name: str, dims, **options):
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
-    applies, check, takes = _CHECKS[name]
-    if not applies(tuple(int(d) for d in dims)):
-        raise ValueError(f"inequality {name!r} is not applicable to dims {tuple(dims)}")
+    _require_applicable(name, tuple(int(d) for d in dims))
+    check, takes = _CHECKS[name]
     bound = {key: options[key] for key in takes if options.get(key) is not None}
     return partial(check, **bound) if bound else check
 
 
-def make_check_table(dims, restarts: int = 8):
+def _campaign_check(name: str, dims, restarts: int):
+    """``_check_for`` with the optimizer a campaign of ``restarts`` restarts uses."""
+    return _check_for(name, dims, config=OptimizerConfig(restarts=restarts))
+
+
+def make_check_table(dims, restarts: int = CAMPAIGN_RESTARTS):
     """name -> callable(state) -> InequalityReport, for the checks applicable to dims."""
-    config = OptimizerConfig(restarts=restarts)
-    return {name: _check_for(name, dims, config=config) for name in applicable_inequalities(dims)}
+    return {name: _campaign_check(name, dims, restarts) for name in applicable_inequalities(dims)}
 
 
 @dataclass(frozen=True)
 class Campaign:
     """One verification run: ensemble, sample count, and checks to apply.
+
+    ``dims`` (each >= 2: a site of dimension 1 gives no evidence), ``samples``
+    and ``restarts`` are stored as ints; a bool or float is rejected.
 
     Campaigns run serially.  ``threads`` is kept only so that callers which
     pass ``threads=1`` keep working: it accepts None or 1, and nothing reads it.
@@ -86,11 +94,14 @@ class Campaign:
     inequalities: tuple[str, ...] = ("all",)
     samples: int = 1000
     threads: int | None = None
-    restarts: int = 8
+    restarts: int = CAMPAIGN_RESTARTS
     negate: bool = False
     out_dir: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(_check_count("site dimension", d, 2) for d in self.dims))
+        for name in ("samples", "restarts"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.threads not in (None, 1):
             raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
                              "so only None or 1 is accepted")
@@ -145,22 +156,13 @@ class CampaignReport:
             "samples": self.samples,
             "inequalities": list(self.inequalities),
             "negate": self.negate,
-            "checks": {
-                name: {
-                    "samples": st.samples,
-                    "violations": st.violations,
-                    "candidates": st.candidates,
-                    "min_slack": st.min_slack,
-                    "argmin_index": st.argmin_index,
-                    "counterexample_files": st.counterexample_files,
-                }
-                for name, st in self.stats.items()
-            },
+            "checks": {name: asdict(st) for name, st in self.stats.items()},
         }
-        if not deterministic:
+        if deterministic:
+            for st in out["checks"].values():
+                del st["seconds"]
+        else:
             out["wall_clock_s"] = self.wall_clock
-            for name, st in self.stats.items():
-                out["checks"][name]["seconds"] = st.seconds
         return out
 
 
@@ -180,8 +182,6 @@ def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
-    if campaign.samples < 1:
-        raise ValueError(f"invalid samples {campaign.samples}: need an integer >= 1")
     checks = _resolve_checks(campaign)
     table = make_check_table(campaign.dims, restarts=campaign.restarts)
     t0 = time.perf_counter()
@@ -199,7 +199,8 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
                 slack = -slack
             elif slack < -CANDIDATE_TOL:
                 # re-checked at once, while this sample's split solves are memoized
-                precise = precise_slack(name, state, restarts=campaign.restarts)
+                with _fsum_purities():
+                    precise = table[name](state).slack
                 if precise < -CANDIDATE_TOL:
                     ce_files[name].append(_dump_counterexample(campaign, name, i, state,
                                                                slack, precise))
@@ -247,9 +248,9 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # purities; its re-check returns the memoized standard solve.
 
 
-def precise_slack(name: str, state: DensityMatrix, restarts: int = 8) -> float:
+def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:
     """Recompute a check's slack with fsum-reduced marginal purities."""
-    check = _check_for(name, state.dims, config=OptimizerConfig(restarts=restarts))
+    check = _campaign_check(name, state.dims, restarts)
     with _fsum_purities():
         return check(state).slack
 
@@ -288,7 +289,7 @@ class RefineResult:
 
 
 def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
-                   max_steps: int = 200, restarts: int = 8) -> RefineResult:
+                   max_steps: int = 200, restarts: int = CAMPAIGN_RESTARTS) -> RefineResult:
     """Descend the slack landscape from a state by random convex perturbations.
 
     Proposals mix the current state with random ensemble draws (and the
@@ -296,7 +297,7 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
     of proposals fails to decrease the slack.  Every reported value is a
     genuine evaluation of an explicit state, never an extrapolation.
     """
-    check = _check_for(name, state.dims, config=OptimizerConfig(restarts=restarts))
+    check = _campaign_check(name, state.dims, restarts)
     cur = state
     cur_slack = check(cur).slack
     initial = cur_slack

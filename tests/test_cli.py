@@ -230,11 +230,20 @@ def test_group_of_dimension_one_is_usage_error(capsys, tmp_path):
     run(capsys, "state", "random", "--dims", "1,2", "--seed", "1", "--out", pair)
     run(capsys, "state", "random", "--dims", "2,2,1", "--seed", "1", "--out", triple)
     for argv in (("monotone", "--state", pair, "--partition", "A|B"),
-                 ("check", "--state", triple, "--inequality", "thm1ii"),
-                 ("verify", "--dims", "2,2,1", "--samples", "2")):
+                 ("check", "--state", triple, "--inequality", "thm1ii")):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert "positive g" in err and not out, argv
+
+
+@pytest.mark.parametrize("dims", ["2,2,1", "1,2"])
+@pytest.mark.parametrize("negate", [(), ("--negate-control",)])
+def test_campaign_site_of_dimension_one_is_usage_error(capsys, dims, negate):
+    # such a campaign gives no evidence: subadd holds with equality on every
+    # sample, so its negation control would "fail" on a healthy check
+    code, out, err = run(capsys, "verify", "--dims", dims, "--samples", "3", *negate)
+    assert code == 2 and not out
+    assert "invalid site dimension 1: need an integer >= 2" in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -296,6 +305,15 @@ def test_verify_repeated_check_name_is_usage_error(capsys):
                              "--inequalities", "subadd,subadd", *extra)
         assert code == 2, extra
         assert "more than once" in err and not out, extra
+
+
+def test_verify_empty_inequality_list_is_usage_error(capsys):
+    # an empty list names no check; it does not fall back to every check
+    for extra in ((), ("--negate-control",)):
+        code, out, err = run(capsys, "verify", "--dims", "2,2", "--samples", "3",
+                             "--inequalities", "", *extra)
+        assert code == 2, extra
+        assert "unknown inequality ''" in err and not out, extra
 
 
 def test_verify_exit_one_on_violations(capsys, monkeypatch):

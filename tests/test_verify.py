@@ -4,15 +4,20 @@ negation control, counterexample dumps and minimum refinement."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bloch_lab import (Campaign, EnsembleSpec, applicable_inequalities, from_matrix,
-                       maximally_mixed, negation_control, precise_slack, random_state,
-                       refine_minimum, run_campaign)
-from bloch_lab.verify import _dump_counterexample, make_check_table
+from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, applicable_inequalities,
+                       check_dim_ssa, check_gen_pseudo_additivity, check_lemma5, check_lemma6,
+                       check_subadditivity, check_thm1_i, check_thm1_ii, dim_ssa_vs_subadd,
+                       from_matrix, maximally_mixed, negation_control, precise_slack,
+                       random_state, refine_minimum, run_campaign)
+from bloch_lab.verify import CHECK_ORDER, _dump_counterexample, make_check_table
 
 
 def hs(seed):
@@ -32,6 +37,57 @@ def test_applicable_by_shape():
         "thm1i", "thm1ii", "lemma5", "dim-ssa", "subadd", "gen-pseudo")
     assert applicable_inequalities((3, 2, 2)) == ("lemma5", "dim-ssa", "subadd", "gen-pseudo")
     assert applicable_inequalities((2, 2, 2, 2)) == ("dim-ssa", "subadd", "gen-pseudo")
+
+
+PUBLIC_CHECKS = {
+    "thm1i": check_thm1_i, "thm1ii": check_thm1_ii, "lemma5": check_lemma5,
+    "lemma6": check_lemma6, "dim-ssa": check_dim_ssa, "subadd": check_subadditivity,
+    "gen-pseudo": check_gen_pseudo_additivity, "dim-ssa-vs-subadd": dim_ssa_vs_subadd,
+}
+SHAPE_GRID = tuple(dict.fromkeys([*(dims for n in range(1, 5) for dims in product((2, 3), repeat=n)),
+                                  (2, 3, 2), (3, 2, 2), (2, 2, 4)]))
+
+
+@pytest.mark.parametrize("dims", SHAPE_GRID, ids=lambda d: "x".join(map(str, d)))
+@pytest.mark.parametrize("name", [*CHECK_ORDER, "dim-ssa-vs-subadd"])
+def test_direct_call_follows_the_shape_rule(name, dims):
+    # a check called directly applies to exactly the shapes a campaign runs
+    # it on (the comparison reads dim-ssa's rule), and refuses the rest with
+    # the message that check and verify give
+    rule = "dim-ssa" if name == "dim-ssa-vs-subadd" else name
+    state = random_state(dims, EnsembleSpec(kind="pure-haar", seed=2))
+    if rule in applicable_inequalities(dims):
+        assert PUBLIC_CHECKS[name](state).inequality == name
+    else:
+        message = f"inequality '{name}' is not applicable to dims {dims}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PUBLIC_CHECKS[name](state)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dims", (2, 2.7), "site dimension 2.7"), ("dims", (2, True), "site dimension True"),
+    ("dims", (1, 2), "site dimension 1"), ("dims", (2, 2, 1), "site dimension 1"),
+    ("samples", True, "samples True"), ("samples", 3.0, "samples 3.0"),
+    ("restarts", True, "restarts True"), ("restarts", 2.5, "restarts 2.5")])
+def test_campaign_rejects_what_it_cannot_run(field, value, message):
+    # a float would be truncated and a bool read as 1, each reported as given;
+    # a site of dimension 1 gives no evidence (subadd holds with equality there)
+    with pytest.raises(ValueError, match=f"invalid {re.escape(message)}: need an integer"):
+        Campaign(**{"dims": (2, 2), field: value})
+
+
+def test_campaign_and_optimizer_share_one_count_rule():
+    for value in (True, 2.0):
+        with pytest.raises(ValueError, match="invalid restarts"):
+            OptimizerConfig(restarts=value)
+    # numpy integers are integers, and the campaign keeps plain ints, so its
+    # report serializes
+    c = Campaign(dims=np.array([2, 2]), ensemble=hs(0), samples=np.int64(3),
+                 restarts=np.int32(2))
+    assert (c.dims, c.samples, c.restarts) == ((2, 2), 3, 2)
+    assert all(type(n) is int for n in (*c.dims, c.samples, c.restarts))
+    report = json.loads(json.dumps(run_campaign(c).to_jsonable(deterministic=True)))
+    assert report["dims"] == [2, 2] and report["samples"] == 3
 
 
 def test_campaign_rejects_inapplicable_name():
@@ -209,7 +265,7 @@ def test_candidates_are_rechecked_and_dumped_in_index_order(tmp_path, monkeypatc
     from bloch_lab.reports import report_from_sides
 
     monkeypatch.setitem(verify._CHECKS, "subadd",
-                        (lambda d: True, lambda state: report_from_sides("subadd", 1e-3, 0.0), ()))
+                        (lambda state: report_from_sides("subadd", 1e-3, 0.0), ()))
     c = Campaign(dims=(2, 2), ensemble=hs(3), inequalities=("subadd",), samples=4,
                  out_dir=str(tmp_path / "lib"))
     st = run_campaign(c).stats["subadd"]
