@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .states import _check_count
+
 MAX_DIM = 64
 
 IDENTITY = "identity"
@@ -110,11 +112,6 @@ class GramReport:
     max_diag_deviation: float
 
 
-def _check_dim(d: int) -> None:
-    if not isinstance(d, (int, np.integer)) or not 2 <= d <= MAX_DIM:
-        raise ValueError(f"invalid dimension {d!r}: need integer 2 <= d <= {MAX_DIM}")
-
-
 def _diag_element(dim: int, offset: int, k: int, scale: float) -> np.ndarray:
     # sqrt(scale/(k+k^2)) (sum_{l<k} |off+l><off+l|  -  k |off+k><off+k|)
     m = np.zeros((dim, dim), dtype=complex)
@@ -167,7 +164,9 @@ def gellmann_basis(d: int) -> OperatorBasis:
     Every element satisfies Tr(E_i E_j) = d delta_ij; element 0 is the
     identity.
     """
-    _check_dim(d)
+    d = _check_count("dimension", d, 2)
+    if d > MAX_DIM:
+        raise ValueError(f"invalid dimension {d}: need d <= {MAX_DIM}")
     return OperatorBasis(dim=d, cut=None, elements=tuple(_block(d, 0, d, IDENTITY, DIAG)))
 
 
@@ -178,10 +177,9 @@ def split_basis(d: int, cut: int) -> OperatorBasis:
     Tr(E^2) = cut; high and cross blocks carry Tr(E^2) = d - cut.  Index 0
     is the low sub-identity, index cut^2 the high sub-identity.
     """
-    _check_dim(d)
-    if not isinstance(cut, (int, np.integer)) or not 1 <= cut <= d - 1:
-        raise ValueError(f"invalid cut {cut!r} for dimension {d}: need integer 1 <= cut <= d-1")
-    c = int(cut)
+    d, c = _check_count("dimension", d, 2), _check_count("cut", cut)
+    if d > MAX_DIM or c > d - 1:
+        raise ValueError(f"invalid cut {c} for dimension {d}: need 1 <= cut <= d - 1 and d <= {MAX_DIM}")
     # cross block: one index below the cut, one above
     cross = _offdiag(d, [(k, l) for k in range(c) for l in range(c, d)], float(d - c))
     els = _block(d, 0, c, SUB_LOW, DIAG_LOW) + _block(d, c, d, SUB_HIGH, DIAG_HIGH) + cross

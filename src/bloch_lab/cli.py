@@ -29,7 +29,7 @@ from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_
                  state_to_jsonable, tensor_to_jsonable, write_fig1_csv, write_figA_csv,
                  write_figB_csv)
 from .monotone import NormalizationPolicy, OptimizerConfig, correlation_monotone
-from .states import EnsembleSpec, _check_dims, partial_trace, random_state
+from .states import EnsembleSpec, partial_trace, random_state
 from .verify import _CHECKS, CHECK_ORDER, Campaign, _check_for, run_campaign
 
 _CONFIG_TYPES = {
@@ -87,11 +87,11 @@ def _default_seed() -> int:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; the library call they are passed to checks them."""
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"invalid dims {text!r}: expected comma-separated integers")
-    return _check_dims(dims)
 
 
 def _parse_partition(text: str, n_sites: int):
@@ -214,8 +214,10 @@ def _cmd_check(args) -> int:
     # "config" means the check reads an OptimizerConfig, built from --restarts and --seed
     read = {*takes, *(("restarts", "seed") if "config" in takes else ())}
     _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
-    cfg = OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
     if args.inequality in _CHECKS:
+        # a config-file restarts or seed is a shared default: only a check that reads it checks it
+        cfg = (OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
+               if "config" in takes else None)
         check = _check_for(args.inequality, state.dims, config=cfg,
                            q=_resolve(args, "q", None), d_e=_resolve(args, "d_e", None))
     _emit(report_to_jsonable(check(state)), args.out)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, gellmann_basis, split_basis
 from .errors import NumericError
-from .states import DensityMatrix, _check_sites
+from .states import DensityMatrix, _check_count, _check_sites
 
 IMAG_TOL = 1e-8
 
@@ -68,13 +68,14 @@ class SplitSectorNorms:
 
 def default_bases(dims) -> tuple[OperatorBasis, ...]:
     """Canonical basis on every site."""
-    return tuple(gellmann_basis(int(d)) for d in dims)
+    return tuple(gellmann_basis(d) for d in dims)
 
 
 def bases_with_split(dims, site: int, cut: int) -> tuple[OperatorBasis, ...]:
     """Canonical bases except for a split basis (given cut) on one site."""
-    dims = tuple(int(d) for d in dims)
-    if not 0 <= site < len(dims):
+    dims = tuple(dims)
+    site = _check_count("site", site, 0)
+    if site >= len(dims):
         raise ValueError(f"invalid site {site} for {len(dims)} sites")
     return tuple(split_basis(d, cut) if j == site else gellmann_basis(d)
                  for j, d in enumerate(dims))

@@ -22,7 +22,7 @@ from math import isfinite, prod
 import numpy as np
 
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import DensityMatrix, _marginal_purity, partial_trace
+from .states import DensityMatrix, _check_count, _check_dims, _marginal_purity, partial_trace
 
 EIG_CLIP_TOL = 1e-9
 RANGE_TOL = 1e-12
@@ -188,8 +188,8 @@ def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q
 
 def _site_dims(dims, n: int) -> tuple[int, ...]:
     """``dims`` as a tuple of exactly n site dimensions, each >= 2."""
-    sites = tuple(int(d) for d in dims)
-    if len(sites) != n or min(sites) < 2:
+    sites = _check_dims(dims, 2)
+    if len(sites) != n:
         raise ValueError(f"invalid dims {sites}: need {n} site dimensions, each >= 2")
     return sites
 
@@ -205,8 +205,7 @@ def _marginal_dims(dims, **marginals) -> tuple[int, ...]:
 
 def _marginal_axes(dims, resolution: int) -> tuple[np.ndarray, ...]:
     """Each site's marginal-entropy axis, 0 ... 1 - 1/d at ``resolution`` points."""
-    if resolution < 2:
-        raise ValueError(f"invalid resolution {resolution}: need >= 2")
+    resolution = _check_count("resolution", resolution, 2)
     return tuple(np.linspace(0.0, 1.0 - 1.0 / d, resolution) for d in dims)
 
 

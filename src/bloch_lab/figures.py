@@ -13,6 +13,7 @@ import numpy as np
 from .entropy import (_bisection_residual, _marginal_axes, _site_dims, classify_grid,
                       max_sab_genpseudo, max_sab_subadd)
 from .errors import NumericError
+from .states import _check_count, _check_dims
 
 FIG1_CASES = ("worst", "best")
 SURFACE_VALIDATION_TOL = 1e-8
@@ -36,12 +37,8 @@ class Fig1Data:
 def sweep_fig1(d_values=(2, 3, 4, 100), case: str = "worst", points: int = 101) -> Fig1Data:
     if case not in FIG1_CASES:
         raise ValueError(f"invalid case {case!r}: choose from {FIG1_CASES}")
-    if points < 2:
-        raise ValueError(f"invalid points {points}: need >= 2")
-    d_values = tuple(int(d) for d in d_values)
-    if any(d < 2 for d in d_values):
-        raise ValueError(f"invalid dimensions {d_values}: need d >= 2")
-    t = np.linspace(0.0, 1.0, points)
+    d_values = _check_dims(d_values, 2)
+    t = np.linspace(0.0, 1.0, _check_count("points", points, 2))
     excess: dict[int, np.ndarray] = {}
     for d in d_values:
         g = d * d - 1

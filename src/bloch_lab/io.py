@@ -20,7 +20,7 @@ import numpy as np
 from .basis import OperatorBasis
 from .correlation import (BlochCoefficients, all_subset_norms, purity_from_tensor,
                           split_purity, split_sector_norms)
-from .states import DensityMatrix, from_matrix
+from .states import DensityMatrix, _check_dims, from_matrix
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
@@ -51,13 +51,11 @@ def state_from_jsonable(obj) -> DensityMatrix:
     if "dims" not in obj or "matrix" not in obj:
         missing = [k for k in ("dims", "matrix") if k not in obj]
         raise ValueError(f"malformed state: missing field(s) {', '.join(missing)}")
-    dims = obj["dims"]
-    if (not isinstance(dims, list) or not dims
-            or not all(type(d) is int and d >= 1 for d in dims)):  # a bool is no dimension
-        raise ValueError(f"malformed state: dims must be a list of positive integers, got {dims!r}")
-    d = prod(dims)
-    matrix = _pairs_to_matrix(obj["matrix"], d, "state")
-    return from_matrix(matrix, tuple(dims))
+    try:
+        dims = _check_dims(obj["dims"])
+    except ValueError as exc:
+        raise ValueError(f"malformed state: {exc}") from None
+    return from_matrix(_pairs_to_matrix(obj["matrix"], prod(dims), "state"), dims)
 
 
 def load_state(path: str | Path) -> DensityMatrix:

@@ -95,7 +95,7 @@ class OptimizerConfig:
     """Settings for the split-basis maximization.
 
     ``max_sweeps`` caps the eigen-steps per restart; a restart whose step
-    gains less than ``STEP_TOL`` freezes.
+    gains less than ``STEP_TOL`` freezes.  Each field is stored as an int.
     """
 
     restarts: int = 32
@@ -103,8 +103,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_sweeps"):
-            _check_count(name, getattr(self, name))
+        for name, least in (("restarts", 1), ("max_sweeps", 1), ("seed", None)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
 
 
 @dataclass
@@ -401,8 +401,6 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) ->
 
 def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
     """(d^4 + 1 - 2 d^2 P_AB) / g_ABE from the AB purity P_AB = Tr(rho_AB^2)."""
-    if d_e < 2:
-        raise ValueError(f"invalid environment dimension {d_e}: need d_E >= 2")
     g_abe = (d * d - 1) * (d_e - 1)
     return float((d ** 4 + 1 - 2.0 * d * d * p_ab) / g_abe)
 
@@ -415,6 +413,7 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     """
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for eve bound: need two equal sites, got {state_ab.dims}")
+    d_e = _check_count("environment dimension", d_e, 2)
     return _eve_bound(state_ab.dims[0], d_e, _marginal_purity(state_ab, (0, 1)))
 
 
@@ -430,7 +429,7 @@ def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
 
 def excess(value: float, d: int) -> float:
     """Scaled exceedance d (value - 1) of the separable ceiling."""
-    return float(d) * (float(value) - 1.0)
+    return _check_count("dimension", d, 2) * (float(value) - 1.0)
 
 
 def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
@@ -450,10 +449,8 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     min(2d - 2, (d^2-1)(1 - t))) for a d x d pair with a d_E-dimensional
     purifying environment.
     """
-    if d < 2:
-        raise ValueError(f"invalid dimension {d}: need d >= 2")
-    if d_e < 1:
-        raise ValueError(f"invalid environment dimension {d_e}: need d_E >= 1")
+    d = _check_count("dimension", d, 2)
+    d_e = _check_count("environment dimension", d_e)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"monotone value {t!r} outside [0, 1]")
     g = d * d - 1
@@ -466,11 +463,10 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityR
     """Sandwich ||T^A||^2 + ||T^B||^2 between the bounds set by T(A|B)."""
     _require_applicable("lemma6", state_ab.dims)
     d = state_ab.dims[0]
-    if d_e is None:
-        d_e = d * d
+    d_e = d * d if d_e is None else _check_count("environment dimension", d_e)
     # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
     local = d * (_marginal_purity(state_ab, (0,)) + _marginal_purity(state_ab, (1,))) - 2.0
     t = correlation_monotone(state_ab, ((0,), (1,))).value
     lower, upper = lemma6_bounds(d, d_e, min(max(t, 0.0), 1.0))
     return report_from_sides("lemma6", lower, upper, slack=min(local - lower, upper - local),
-                             extras={"local_mass": float(local), "t": float(t), "d_e": int(d_e)})
+                             extras={"local_mass": float(local), "t": float(t), "d_e": d_e})

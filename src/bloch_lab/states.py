@@ -10,9 +10,12 @@ generated in any order without changing the draws.  Draws are valid by
 construction (G G^H / Tr or |v><v|) and are wrapped directly; ``from_matrix``
 validates matrices that come from outside.
 
-This module owns the purity table: every marginal purity Tr(rho_v^2) is
-read through ``_marginal_purity`` and memoized on the state, and the site
-subsets that index it are checked by ``_check_sites``.
+This module owns two rules.  The integer rule: every dimension, site, count,
+sample index and seed is checked where it enters by ``_check_count`` (a tuple
+by ``_check_dims``), so a bool or a float is rejected, never truncated.  The
+purity table: every marginal purity Tr(rho_v^2) is read through
+``_marginal_purity`` and memoized on the state, and ``_check_sites`` checks
+the site subsets that index it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class DensityMatrix:
     _marginal_purities: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.dims = tuple(int(d) for d in self.dims)
+        self.dims = _check_dims(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
         m.setflags(write=False)
         self.matrix = m
@@ -68,18 +71,26 @@ class DensityMatrix:
         return self.purity() >= 1.0 - tol
 
 
-def _check_dims(dims) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
-        raise ValueError(f"invalid dimensions {dims!r}: need positive integers")
-    return dims
+def _check_count(what: str, n, least: int | None = 1) -> int:
+    """n as a plain int; ValueError unless it is an integer >= least (any integer
+    when least is None).  A bool or a float is no integer; a numpy integer is."""
+    if type(n) is int or (isinstance(n, Integral) and not isinstance(n, bool)):
+        if least is None or n >= least:
+            return int(n)
+    raise ValueError(f"invalid {what} {n!r}: need an integer"
+                     + ("" if least is None else f" >= {least}"))
 
 
-def _check_count(what: str, n, least: int = 1) -> int:
-    """n as an int; ValueError unless it is an integer >= least (a bool or float is not)."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < least:
-        raise ValueError(f"invalid {what} {n!r}: need an integer >= {least}")
-    return int(n)
+def _check_dims(dims, least: int = 1, what: str = "site dimension") -> tuple[int, ...]:
+    """dims as a non-empty tuple of integers >= least, each passing _check_count."""
+    try:
+        checked = tuple([d if type(d) is int and d >= least else _check_count(what, d, least)
+                         for d in dims])
+    except TypeError:  # not a sequence
+        checked = ()
+    if not checked:
+        raise ValueError(f"invalid {what} list {dims!r}: need a non-empty sequence of integers")
+    return checked
 
 
 def from_matrix(matrix, dims) -> DensityMatrix:
@@ -89,9 +100,8 @@ def from_matrix(matrix, dims) -> DensityMatrix:
     positivity (smallest eigenvalue >= -1e-9); raises InvalidStateError
     naming the violated invariant.  Eigenvalues are never repaired.
     """
-    dims = _check_dims(dims)
-    d = prod(dims)
-    m = np.asarray(matrix, dtype=complex)
+    state = DensityMatrix(dims, matrix)
+    m, d, dims = state.matrix, state.dim, state.dims
     if m.shape != (d, d):
         raise InvalidStateError(f"invalid state: shape {m.shape} does not match dims {dims} (need {(d, d)})")
     if not np.isfinite(m).all():
@@ -105,7 +115,7 @@ def from_matrix(matrix, dims) -> DensityMatrix:
     lo = float(np.linalg.eigvalsh(m).min())
     if lo < -EIG_TOL:
         raise InvalidStateError(f"invalid state: negative eigenvalue {lo:.3e} below -{EIG_TOL:g}")
-    return DensityMatrix(dims, m)
+    return state
 
 
 def maximally_mixed(dims) -> DensityMatrix:
@@ -129,8 +139,7 @@ def pure(vector, dims) -> DensityMatrix:
 
 def max_entangled(d: int) -> DensityMatrix:
     """(1/sqrt(d)) sum_i |ii> on a d x d pair."""
-    if d < 2:
-        raise ValueError(f"invalid dimension {d}: need d >= 2")
+    d = _check_count("dimension", d, 2)
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / np.sqrt(d)
     return DensityMatrix((d, d), np.outer(v, v.conj()))
@@ -140,21 +149,14 @@ def tensor(*states: DensityMatrix) -> DensityMatrix:
     """Tensor product; the first argument is the most significant factor."""
     if not states:
         raise ValueError("tensor needs at least one state")
-    m = states[0].matrix
-    dims = states[0].dims
-    for s in states[1:]:
-        m = np.kron(m, s.matrix)
-        dims = dims + s.dims
-    return DensityMatrix(dims, m)
+    return DensityMatrix(sum((s.dims for s in states), ()), reduce(np.kron, [s.matrix for s in states]))
 
 
 def _check_sites(sites, n: int, what: str) -> tuple[int, ...]:
     """The sorted site indices; ValueError unless non-empty, distinct and in [0, n)."""
-    sites = tuple(int(s) for s in sites)
+    sites = _check_dims(sites, 0, what)
     v = tuple(sorted(sites))
-    if not v:
-        raise ValueError(f"invalid {what}: no sites")
-    if len(set(v)) != len(v) or v[0] < 0 or v[-1] >= n:
+    if len(set(v)) != len(v) or v[-1] >= n:
         raise ValueError(f"invalid {what} {sites}: need distinct sites in 0..{n - 1}")
     return v
 
@@ -239,8 +241,9 @@ def _mix64(x: int) -> int:
 
 
 def derive_seed(master: int, index: int) -> int:
-    """Stable 64-bit stream seed for sample ``index`` under ``master``."""
-    return _mix64((int(master) + _GOLDEN * (int(index) + 1)) & _M64)
+    """Stable 64-bit stream seed for sample ``index`` (>= 0) under ``master`` (any integer)."""
+    index = _check_count("sample index", index, 0)
+    return _mix64((_check_count("seed", master, None) + _GOLDEN * (index + 1)) & _M64)
 
 
 def _rng(master: int, index: int) -> np.random.Generator:
@@ -259,6 +262,7 @@ class EnsembleSpec:
     ancilla (rank_cap = D reproduces Hilbert-Schmidt).  ``product-of``
     draws each site independently with the kinds in ``factors``, passing
     rank_cap to each.  ``pure-haar`` and ``hilbert-schmidt`` take no rank_cap.
+    A spec checks itself when built; the factor count waits for a draw's dims.
     """
 
     kind: str = "hilbert-schmidt"
@@ -266,21 +270,35 @@ class EnsembleSpec:
     rank_cap: int | None = None
     factors: tuple[str, ...] | None = None
 
-    def canonical_kind(self) -> str:
-        kind = _KIND_ALIASES.get(self.kind, self.kind)
+    def __post_init__(self):
+        kind = self.canonical_kind()
         if kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}; choose from {KINDS}")
-        return kind
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, None))
+        if kind == "induced" and self.rank_cap is None:
+            raise ValueError("induced ensemble needs rank_cap (the ancilla dimension)")
+        if kind in ("pure-haar", "hilbert-schmidt") and self.rank_cap is not None:
+            raise ValueError(f"rank_cap applies only to the induced and product-of ensembles, not {kind}")
+        if self.rank_cap is not None:
+            object.__setattr__(self, "rank_cap", _check_count("rank cap", self.rank_cap))
+        if kind != "product-of" and self.factors is not None:
+            raise ValueError(f"factors apply only to the product-of ensemble, not {kind}")
+        if kind == "product-of" and not self.factors:
+            raise ValueError("product-of needs one factor kind per site")
+        for f in self.factors or ():
+            if _KIND_ALIASES.get(f, f) not in KINDS or f == "product-of":
+                raise ValueError(f"invalid product factor kind {f!r}")
+
+    def canonical_kind(self) -> str:
+        return _KIND_ALIASES.get(self.kind, self.kind)
 
 
-def _draw_matrix(rng: np.random.Generator, d: int, kind: str, rank: int | None) -> np.ndarray:
-    if kind == "pure-haar":
+def _draw_matrix(rng: np.random.Generator, d: int, pure: bool, rank: int | None) -> np.ndarray:
+    if pure:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         v /= np.linalg.norm(v)
         return np.outer(v, v.conj())
-    k = d if rank is None else int(rank)
-    if k < 1:
-        raise ValueError(f"invalid rank cap {rank!r}")
+    k = d if rank is None else rank
     g = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
     m = g @ g.conj().T
     return m / np.trace(m).real
@@ -294,22 +312,11 @@ def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
     """
     dims = _check_dims(dims)
     kind = spec.canonical_kind()
-    if kind == "induced" and spec.rank_cap is None:
-        raise ValueError("induced ensemble needs rank_cap (the ancilla dimension)")
-    if kind in ("pure-haar", "hilbert-schmidt") and spec.rank_cap is not None:
-        raise ValueError(f"rank_cap applies only to the induced and product-of ensembles, "
-                         f"not {kind}")
     if kind != "product-of":
-        if spec.factors is not None:
-            raise ValueError(f"factors apply only to the product-of ensemble, not {kind}")
-        return DensityMatrix(dims, _draw_matrix(_rng(spec.seed, index), prod(dims), kind,
-                                                spec.rank_cap))
-    if not spec.factors or len(spec.factors) != len(dims):
+        return DensityMatrix(dims, _draw_matrix(_rng(spec.seed, index), prod(dims),
+                                                kind == "pure-haar", spec.rank_cap))
+    if len(spec.factors) != len(dims):
         raise ValueError(f"product-of needs one factor kind per site ({len(dims)} sites)")
-    kinds = tuple(_KIND_ALIASES.get(f, f) for f in spec.factors)
-    for f, fk in zip(spec.factors, kinds):
-        if fk not in KINDS or fk == "product-of":
-            raise ValueError(f"invalid product factor kind {f!r}")
     rng = _rng(spec.seed, index)
-    return DensityMatrix(dims, reduce(np.kron, [_draw_matrix(rng, d, fk, spec.rank_cap)
-                                                for d, fk in zip(dims, kinds)]))
+    return DensityMatrix(dims, reduce(np.kron, [_draw_matrix(rng, d, f == "pure-haar", spec.rank_cap)
+                                                for d, f in zip(dims, spec.factors)]))

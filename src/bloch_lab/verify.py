@@ -29,7 +29,8 @@ from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subaddit
 from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
                        check_thm1_ii)
 from .reports import _APPLIES, CANDIDATE_TOL, SLACK_TOL, _require_applicable
-from .states import DensityMatrix, EnsembleSpec, _check_count, _fsum_purities, random_state
+from .states import (DensityMatrix, EnsembleSpec, _check_count, _check_dims, _fsum_purities,
+                     random_state)
 
 # name -> (check, keyword options it takes), in campaign order; the shapes
 # each check applies to are reports._APPLIES
@@ -50,7 +51,7 @@ CAMPAIGN_RESTARTS = 8
 
 def applicable_inequalities(dims) -> tuple[str, ...]:
     """The checks that make sense for a site-dimension tuple, canonical order."""
-    dims = tuple(int(d) for d in dims)
+    dims = _check_dims(dims)
     return tuple(name for name in CHECK_ORDER if _APPLIES[name](dims))
 
 
@@ -62,7 +63,7 @@ def _check_for(name: str, dims, **options):
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
-    _require_applicable(name, tuple(int(d) for d in dims))
+    _require_applicable(name, dims)
     check, takes = _CHECKS[name]
     bound = {key: options[key] for key in takes if options.get(key) is not None}
     return partial(check, **bound) if bound else check
@@ -99,7 +100,7 @@ class Campaign:
     out_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(_check_count("site dimension", d, 2) for d in self.dims))
+        object.__setattr__(self, "dims", _check_dims(self.dims, 2))
         for name in ("samples", "restarts"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if self.threads not in (None, 1):
@@ -298,6 +299,7 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
     genuine evaluation of an explicit state, never an extrapolation.
     """
     check = _campaign_check(name, state.dims, restarts)
+    max_steps = _check_count("max_steps", max_steps, 0)
     cur = state
     cur_slack = check(cur).slack
     initial = cur_slack

@@ -224,6 +224,20 @@ def test_bad_restarts_is_usage_error(capsys, tmp_path, restarts):
         assert "restarts" in err and not out, argv
 
 
+def test_config_restarts_are_checked_only_by_a_check_that_reads_them(capsys, tmp_path):
+    # a config key is a shared default: subadd reads no optimizer, so restarts = 0
+    # is no error there, while thm1i runs the split optimizer with it
+    cfg = tmp_path / "cfg"
+    cfg.write_text("restarts = 0\n")
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,2,3", "--seed", "1", "--out", state_file)
+    check = ("--config", str(cfg), "check", "--state", state_file, "--inequality")
+    code, out, _ = run(capsys, *check, "subadd")
+    assert code == 0 and json.loads(out)["inequality"] == "subadd"
+    code, out, err = run(capsys, *check, "thm1i")
+    assert code == 2 and "invalid restarts 0" in err and not out
+
+
 def test_group_of_dimension_one_is_usage_error(capsys, tmp_path):
     # the monotone's normalization is 0 there; no traceback, no exit 1
     pair, triple = str(tmp_path / "pair.json"), str(tmp_path / "triple.json")

@@ -99,7 +99,8 @@ def test_surface_functions_share_one_site_dims_rule(name, shape):
     n, call = _SITE_DIMS_CALLS[name]
     dims = {"too-few": (2,) * (n - 1), "too-many": (2,) * (n + 1),
             "dim-1": (2,) * (n - 1) + (1,)}[shape]
-    message = f"invalid dims {dims}: need {n} site dimensions, each >= 2"
+    message = ("invalid site dimension 1: need an integer >= 2" if shape == "dim-1"
+               else f"invalid dims {dims}: need {n} site dimensions, each >= 2")
     with pytest.raises(ValueError, match=re.escape(message)):
         call(dims)
 

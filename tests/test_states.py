@@ -9,11 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloch_lab import (EnsembleSpec, InvalidStateError, bloch_coefficients,
-                       correlation_monotone, derive_seed, from_matrix, max_entangled,
-                       maximally_mixed, partial_trace, pure, purify, random_state, tensor,
-                       tensor_norm_sq)
+from bloch_lab import (Campaign, EnsembleSpec, InvalidStateError, OptimizerConfig,
+                       applicable_inequalities, bases_with_split, bloch_coefficients,
+                       check_lemma6, correlation_monotone, derive_seed, eve_bound, excess,
+                       from_matrix, gellmann_basis, lemma6_bounds, max_entangled,
+                       maximally_mixed, partial_trace, pure, purify, random_state, refine_minimum,
+                       save_state, split_basis, sweep_fig1, sweep_figA, sweep_figB, tensor,
+                       tensor_norm_sq, validate_surface)
+from bloch_lab.cli import main
+from bloch_lab.correlation import default_bases
+from bloch_lab.io import state_from_jsonable, state_to_jsonable
 from bloch_lab.states import _fsum_purities
+from bloch_lab.verify import make_check_table
 
 
 def hs_state(dims, seed, index=0):
@@ -218,9 +225,9 @@ def test_hs_samples_are_valid_states(seed, index, factors, factor_cap):
 @pytest.mark.parametrize("kind,rank_cap", [("pure-haar", None), ("hilbert-schmidt", None),
                                            ("induced", 1)])
 def test_factors_need_product_of(kind, rank_cap):
-    spec = EnsembleSpec(kind=kind, seed=2, rank_cap=rank_cap, factors=("pure-haar", "pure-haar"))
+    # a spec checks itself when it is built, before any draw
     with pytest.raises(ValueError, match="factors"):
-        random_state((2, 2), spec, index=0)
+        EnsembleSpec(kind=kind, seed=2, rank_cap=rank_cap, factors=("pure-haar", "pure-haar"))
 
 
 def test_purity_reads_the_purity_table():
@@ -237,3 +244,93 @@ def test_purity_cache_matches_direct():
     s = hs_state((3, 3), seed=21)
     assert s.purity() == pytest.approx(np.trace(s.matrix @ s.matrix).real, abs=1e-13)
     assert not s.is_pure()
+
+
+# ---------------------------------------------------------------------------
+# the integer rule
+
+MM22, MM222 = maximally_mixed((2, 2)), maximally_mixed((2, 2, 2))
+MM4_PAIRS = state_to_jsonable(maximally_mixed((4,)))["matrix"]
+
+# input -> (call with the input set to v, least value (None: any integer), a value
+#           it takes, the input as the result keeps it (None: not kept), and argv
+#           that gives the CLI a value below the least, with S22/S223 standing for
+#           state files of those dims, or None where the CLI cannot reach it)
+_INTEGER_INPUTS = {
+    "random_state dims": (lambda v: random_state((2, v), EnsembleSpec()), 1, 3,
+                          lambda r: r.dims[1], ("state", "random", "--dims", "2,0")),
+    "maximally_mixed dims": (lambda v: maximally_mixed((v,)), 1, 2, lambda r: r.dims[0], None),
+    "from_matrix dims": (lambda v: from_matrix(np.eye(4) / 4, (2, v, 2)), 1, 1,
+                         lambda r: r.dims[1], None),
+    "state file dims": (lambda v: state_from_jsonable({"dims": [v], "matrix": MM4_PAIRS}), 1, 4,
+                        lambda r: r.dims[0], None),
+    "partial_trace site": (lambda v: partial_trace(MM222, (v,)), 0, 2, None, None),
+    "monotone site": (lambda v: correlation_monotone(MM222, ((0,), (v,))), 0, 2, None, None),
+    "split site": (lambda v: bases_with_split((3, 3), v, 1), 0, 1, None,
+                   ("tensor", "--state", "S22", "--split=-1:1")),
+    "rank cap": (lambda v: EnsembleSpec("induced", rank_cap=v), 1, 2, lambda r: r.rank_cap,
+                 ("state", "random", "--dims", "2,2", "--ensemble", "induced", "--rank-cap", "0")),
+    "derive_seed index": (lambda v: derive_seed(0, v), 0, 2, None, None),
+    "random_state index": (lambda v: random_state((2, 2), EnsembleSpec(), v), 0, 2, None,
+                           ("state", "random", "--dims", "2,2", "--index", "-1")),
+    "derive_seed seed": (lambda v: derive_seed(v, 0), None, 5, None, None),
+    "ensemble seed": (lambda v: EnsembleSpec(seed=v), None, 5, lambda r: r.seed, None),
+    "optimizer seed": (lambda v: OptimizerConfig(seed=v), None, 5, lambda r: r.seed, None),
+    "optimizer restarts": (lambda v: OptimizerConfig(restarts=v), 1, 3, lambda r: r.restarts,
+                           ("check", "--state", "S223", "--inequality", "thm1i", "--restarts", "0")),
+    "optimizer max_sweeps": (lambda v: OptimizerConfig(max_sweeps=v), 1, 3,
+                             lambda r: r.max_sweeps, None),
+    "campaign dims": (lambda v: Campaign(dims=(2, v)), 2, 3, lambda r: r.dims[1],
+                      ("verify", "--dims", "2,1", "--samples", "3")),
+    "campaign samples": (lambda v: Campaign(dims=(2, 2), samples=v), 1, 3, lambda r: r.samples,
+                         ("verify", "--dims", "2,2", "--samples", "0")),
+    "campaign restarts": (lambda v: Campaign(dims=(2, 2), restarts=v), 1, 3, lambda r: r.restarts,
+                          ("verify", "--dims", "2,2", "--samples", "2", "--restarts", "0")),
+    "refine max_steps": (lambda v: refine_minimum("subadd", MM22, max_steps=v), 0, 1, None, None),
+    "basis dim": (lambda v: gellmann_basis(v), 2, 3, lambda r: r.dim, ("basis", "--dim", "1")),
+    "split basis dim": (lambda v: split_basis(v, 1), 2, 3, lambda r: r.dim,
+                        ("basis", "--dim", "1", "--cut", "1")),
+    "split basis cut": (lambda v: split_basis(4, v), 1, 2, lambda r: r.cut,
+                        ("basis", "--dim", "4", "--cut", "0")),
+    "default_bases dims": (lambda v: default_bases((2, v)), 2, 3, lambda r: r[1].dim, None),
+    "surface dims": (lambda v: sweep_figA((v, 2), resolution=3), 2, 3, lambda r: r.dims[0],
+                     ("sweep", "--figure", "figA", "--dims", "1,2", "--format", "json")),
+    "surface resolution": (lambda v: validate_surface("subadd", (2, 2), v), 2, 3, None, None),
+    "figB resolution": (lambda v: sweep_figB(resolution=v), 2, 3, None,
+                        ("sweep", "--figure", "figB", "--resolution", "1", "--format", "json")),
+    "fig1 d_values": (lambda v: sweep_fig1(d_values=(v,), points=3), 2, 3,
+                      lambda r: r.d_values[0],
+                      ("sweep", "--figure", "fig1", "--d-values", "1", "--format", "json")),
+    "fig1 points": (lambda v: sweep_fig1(points=v), 2, 3, None,
+                    ("sweep", "--figure", "fig1", "--points", "1", "--format", "json")),
+    "max_entangled dim": (lambda v: max_entangled(v), 2, 3, lambda r: r.dims[0], None),
+    "lemma6 dim": (lambda v: lemma6_bounds(v, 4, 0.3), 2, 2, None, None),
+    "lemma6 environment": (lambda v: lemma6_bounds(2, v, 0.3), 1, 4, None, None),
+    "check_lemma6 environment": (lambda v: check_lemma6(MM22, d_e=v), 1, 4,
+                                 lambda r: r.extras["d_e"],
+                                 ("check", "--state", "S22", "--inequality", "lemma6", "--d-e", "0")),
+    "eve_bound environment": (lambda v: eve_bound(MM22, v), 2, 4, None, None),
+    "excess dim": (lambda v: excess(1.5, v), 2, 3, None, None),
+    "applicable dims": (lambda v: applicable_inequalities((2, v, 2)), 1, 2, None, None),
+    "check table dims": (lambda v: make_check_table((2, v, 2)), 1, 2, None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
+def test_integer_inputs_share_one_rule(name, tmp_path, capsys):
+    # every integer input is checked by states._check_count: a float or bool is
+    # rejected (never truncated), and so is a value below the least; a numpy
+    # integer is accepted and kept as a plain int
+    call, least, good, kept, argv = _INTEGER_INPUTS[name]
+    for bad in (2.7, True, np.float64(2.0), *(() if least is None else (least - 1,))):
+        with pytest.raises(ValueError):
+            call(bad)
+    result = call(np.int64(good))
+    if kept is not None:
+        assert kept(result) == good and type(kept(result)) is int
+    if argv is not None:
+        files = {"S22": (2, 2), "S223": (2, 2, 3)}
+        for key, dims in files.items():
+            save_state(random_state(dims, EnsembleSpec()), tmp_path / key)
+        assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
