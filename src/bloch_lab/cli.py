@@ -121,11 +121,8 @@ def _parse_partition(text: str, n_sites: int):
 def _parse_policy(text: str | None) -> NormalizationPolicy | None:
     if text is None:
         return None
-    if text in ("unit-range", "separable-bound"):
-        return NormalizationPolicy(text)
-    if text.startswith("explicit:"):
-        return NormalizationPolicy("explicit", value=float(text.split(":", 1)[1]))
-    raise ValueError(f"invalid policy {text!r}: use unit-range, separable-bound or explicit:VALUE")
+    rule, colon, value = text.partition(":")
+    return NormalizationPolicy(rule, float(value) if colon else None)
 
 
 def _ensemble_from_args(args) -> EnsembleSpec:

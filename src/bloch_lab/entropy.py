@@ -17,21 +17,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import isfinite, prod
+from math import prod
 
 import numpy as np
 
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import DensityMatrix, _check_count, _check_dims, _marginal_purity, partial_trace
+from .states import (EIG_TOL, DensityMatrix, _check_count, _check_dims, _check_real, _marginal_purity,
+                     partial_trace, tensor)
 
-EIG_CLIP_TOL = 1e-9
 RANGE_TOL = 1e-12
 
 
 def _eigvals_clipped(state: DensityMatrix) -> np.ndarray:
     w = np.linalg.eigvalsh(state.matrix)
-    if float(w.min()) < -EIG_CLIP_TOL:
-        raise ValueError(f"invalid state: eigenvalue {w.min():.3e} below -{EIG_CLIP_TOL:g}")
+    if float(w.min()) < -EIG_TOL:
+        raise ValueError(f"invalid state: eigenvalue {w.min():.3e} below -{EIG_TOL:g}")
     return np.clip(w, 0.0, None)
 
 
@@ -56,9 +56,7 @@ def linear_entropy(state: DensityMatrix) -> float:
 
 def tsallis(state: DensityMatrix, q: float) -> float:
     """(1 - Tr rho^q)/(q - 1); q = 1 returns the von Neumann entropy in nats."""
-    q = float(q)
-    if not (q > 0.0 and isfinite(q)):
-        raise ValueError(f"invalid parameter q={q!r}: need a finite q > 0")
+    q = _check_real("q", q, above=0.0)
     if q == 1.0:
         return _von_neumann_nats(state)
     return (1.0 - _trace_power(state, q)) / (q - 1.0)
@@ -66,11 +64,9 @@ def tsallis(state: DensityMatrix, q: float) -> float:
 
 def renyi(state: DensityMatrix, alpha: float) -> float:
     """log2(Tr rho^alpha)/(1 - alpha); alpha = 1 returns von Neumann in bits."""
-    alpha = float(alpha)
-    if not (alpha > 0.0 and isfinite(alpha)):
-        raise ValueError(f"invalid parameter alpha={alpha!r}: need a finite alpha > 0")
+    alpha = _check_real("alpha", alpha, above=0.0)
     if alpha == 1.0:
-        return _von_neumann_nats(state) / np.log(2.0)
+        return float(_von_neumann_nats(state) / np.log(2.0))
     return float(np.log2(_trace_power(state, alpha)) / (1.0 - alpha))
 
 
@@ -132,9 +128,7 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
 def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityReport:
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
     _require_applicable("subadd", state.dims)
-    q = float(q)
-    if q < 1.0:
-        raise ValueError(f"invalid parameter q={q!r}: subadditivity needs q >= 1")
+    q = _check_real("q", q, least=1.0)
 
     def s_q(keep):
         return _sl(state, keep) if q == 2.0 else tsallis(partial_trace(state, keep), q)
@@ -171,11 +165,9 @@ def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
 
 def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q: float) -> float:
     """S_q(A x B) - S_q(A) - S_q(B) - (1-q) S_q(A) S_q(B); identically 0 up to float."""
-    from .states import tensor
-
-    q = float(q)
-    if not q > 0.0 or q == 1.0:
-        raise ValueError(f"invalid parameter q={q!r}: need q > 0, q != 1")
+    q = _check_real("q", q, above=0.0)
+    if q == 1.0:
+        raise ValueError("invalid q 1.0: pseudo-additivity needs q != 1")
     sa = tsallis(state_a, q)
     sb = tsallis(state_b, q)
     joint = tsallis(tensor(state_a, state_b), q)
@@ -195,9 +187,13 @@ def _site_dims(dims, n: int) -> tuple[int, ...]:
 
 
 def _marginal_dims(dims, **marginals) -> tuple[int, ...]:
-    """The site dimensions of the named marginals, each checked to lie in [0, 1 - 1/d]."""
+    """The site dimensions of the named marginals: each a real or an int or float array, in [0, 1 - 1/d]."""
     sites = _site_dims(dims, len(marginals))
     for (name, s), d in zip(marginals.items(), sites):
+        if not isinstance(s, np.ndarray):
+            _check_real(f"marginal {name}", s)
+        elif s.dtype.kind not in "iuf":
+            raise ValueError(f"invalid marginal {name} of dtype {s.dtype}: need an array of reals")
         if not np.all((-RANGE_TOL <= s) & (s <= 1.0 - 1.0 / d + RANGE_TOL)):
             raise ValueError(f"out-of-range marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
     return sites
@@ -294,15 +290,14 @@ def classify_grid(s_a, s_b, s_c, dims):
     complementary site (S(AB) = S(C) and cyclic); returns boolean arrays
     (subadd_ok, gen_pseudo_ok) broadcast over the inputs.
     """
-    da, db, dc = _site_dims(dims, 3)
+    da, db, dc = _marginal_dims(dims, s_a=s_a, s_b=s_b, s_c=s_c)
     s_a, s_b, s_c = np.asarray(s_a, float), np.asarray(s_b, float), np.asarray(s_c, float)
-    tol = RANGE_TOL
-    subadd = ((s_c <= s_a + s_b + tol)
-              & (s_a <= s_b + s_c + tol)
-              & (s_b <= s_a + s_c + tol))
+    subadd = ((s_c <= s_a + s_b + RANGE_TOL)
+              & (s_a <= s_b + s_c + RANGE_TOL)
+              & (s_b <= s_a + s_c + RANGE_TOL))
 
     def pair_ok(dx, dy, sx, sy, sz):
-        return _genpseudo_floor(sz, dx * dy) <= _genpseudo_side(sx, sy) + tol
+        return _genpseudo_floor(sz, dx * dy) <= _genpseudo_side(sx, sy) + RANGE_TOL
 
     genp = (pair_ok(da, db, s_a, s_b, s_c)
             & pair_ok(db, dc, s_b, s_c, s_a)
@@ -311,7 +306,6 @@ def classify_grid(s_a, s_b, s_c, dims):
 
 
 def classify_triple(s_a: float, s_b: float, s_c: float, dims) -> TripleVerdict:
-    """Scalar wrapper over classify_grid with marginal-range validation."""
-    dims = _marginal_dims(dims, s_a=s_a, s_b=s_b, s_c=s_c)
+    """Scalar wrapper over classify_grid."""
     subadd, genp = classify_grid(s_a, s_b, s_c, dims)
     return TripleVerdict(subadd=bool(subadd), gen_pseudo=bool(genp))

@@ -36,15 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, prod
+from math import prod
 
 import numpy as np
 
 from .errors import NotPureError
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import DensityMatrix, _check_count, _check_sites, _marginal_purity, derive_seed, partial_trace
+from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_real, _check_sites, _marginal_purity,
+                     derive_seed, partial_trace)
 
-PURE_TOL = 1e-10
 # split solves kept by _solve_split: the most that one check makes on one
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
 # repeats no ascent, while any other repeat misses
@@ -60,34 +60,39 @@ STEP_TOL = 1e-12
 class NormalizationPolicy:
     """How to pick the denominator g.
 
-    rule "unit-range" gives d_min^2 - 1, "separable-bound" gives
-    (d_Omega - 1)(d_Sigma - 1), "explicit" uses ``value`` directly.
+    rule "unit-range" gives d_min^2 - 1, "separable-bound" gives (d_Omega - 1)(d_Sigma - 1),
+    "explicit" uses ``value``, a finite real > 0 that only this rule takes (checked when built).
     """
 
     rule: str = "unit-range"
     value: float | None = None
 
-    def resolve(self, d_omega: int, d_sigma: int) -> float:
-        """g for groups of these dimensions; raises unless 0 < g < inf (a group of dimension 1 gives 0)."""
-        if self.rule == "unit-range":
-            g = min(d_omega, d_sigma) ** 2 - 1
-        elif self.rule == "separable-bound":
-            g = (d_omega - 1) * (d_sigma - 1)
-        elif self.rule == "explicit":
-            g = self.value
-        else:
+    def __post_init__(self):
+        if self.rule not in ("unit-range", "separable-bound", "explicit"):
             raise ValueError(f"unknown normalization rule {self.rule!r}")
-        if g is None or not (g > 0 and isfinite(g)):
-            raise ValueError(f"{self.rule} normalization needs a finite positive g, got {g!r} "
+        if self.rule == "explicit":
+            object.__setattr__(self, "value", _check_real("normalization g", self.value, above=0.0))
+        elif self.value is not None:
+            raise ValueError(f"{self.rule} normalization takes no value, got {self.value!r}")
+
+    def resolve(self, d_omega: int, d_sigma: int) -> float:
+        """g for groups of these dimensions; raises unless g > 0 (a group of dimension 1 gives 0)."""
+        if self.rule == "explicit":
+            return self.value
+        g = (min(d_omega, d_sigma) ** 2 - 1 if self.rule == "unit-range"
+             else (d_omega - 1) * (d_sigma - 1))
+        if g <= 0:
+            raise ValueError(f"{self.rule} normalization needs a positive g, got {g!r} "
                              f"for group dimensions ({d_omega}, {d_sigma})")
         return float(g)
 
 
+_UNIT_RANGE, _SEPARABLE_BOUND = NormalizationPolicy("unit-range"), NormalizationPolicy("separable-bound")
+
+
 def default_policy(omega, sigma) -> NormalizationPolicy:
     """Unit range between single sites, separable bound for composite groups."""
-    if len(omega) == 1 and len(sigma) == 1:
-        return NormalizationPolicy("unit-range")
-    return NormalizationPolicy("separable-bound")
+    return _UNIT_RANGE if len(omega) == 1 and len(sigma) == 1 else _SEPARABLE_BOUND
 
 
 @dataclass(frozen=True)
@@ -310,9 +315,7 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     omega, sigma = _check_partition(state, partition)
     d_om = prod(state.dims[s] for s in omega)
     d_sg = prod(state.dims[s] for s in sigma)
-    if policy is None:
-        policy = default_policy(omega, sigma)
-    g = policy.resolve(d_om, d_sg)
+    g = (policy or default_policy(omega, sigma)).resolve(d_om, d_sg)
     considered = tuple(sorted(omega + sigma))
 
     if len(omega) > 1 or len(sigma) > 1 or d_om == d_sg:
@@ -368,16 +371,14 @@ def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None
     """
     if state.n_sites != 2:
         raise ValueError(f"unsupported shape: need 2 sites, got {state.n_sites}")
-    if not state.is_pure(PURE_TOL):
-        raise NotPureError(f"state purity {state.purity():.12f} is below 1 - {PURE_TOL:g}")
+    if not state.is_pure():
+        raise NotPureError(f"state purity {state.purity():.12f} is below 1 - {PURITY_TOL:g}")
     vec = np.linalg.eigh(state.matrix)[1][:, -1]
     sv = np.linalg.svd(vec.reshape(state.dims), compute_uv=False)
     p_red = float((sv ** 4).sum())
     m = min(state.dims)
     raw = m * m + 1.0 - 2.0 * m * p_red
-    if policy is None:
-        policy = default_policy((0,), (1,))
-    g = policy.resolve(state.dims[0], state.dims[1])
+    g = (policy or _UNIT_RANGE).resolve(state.dims[0], state.dims[1])
     return raw / g
 
 
@@ -429,7 +430,7 @@ def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
 
 def excess(value: float, d: int) -> float:
     """Scaled exceedance d (value - 1) of the separable ceiling."""
-    return _check_count("dimension", d, 2) * (float(value) - 1.0)
+    return _check_count("dimension", d, 2) * (_check_real("value", value) - 1.0)
 
 
 def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
@@ -451,12 +452,9 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     """
     d = _check_count("dimension", d, 2)
     d_e = _check_count("environment dimension", d_e)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"monotone value {t!r} outside [0, 1]")
+    t = _check_real("monotone value", t, least=0.0, most=1.0)
     g = d * d - 1
-    upper = min(2.0 * d - 2.0, g * (1.0 - t))
-    lower = max(0.0, d * d / d_e - 1.0 - g * t)
-    return float(lower), float(upper)
+    return max(0.0, d * d / d_e - 1.0 - g * t), min(2.0 * d - 2.0, g * (1.0 - t))
 
 
 def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
@@ -469,4 +467,4 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityR
     t = correlation_monotone(state_ab, ((0,), (1,))).value
     lower, upper = lemma6_bounds(d, d_e, min(max(t, 0.0), 1.0))
     return report_from_sides("lemma6", lower, upper, slack=min(local - lower, upper - local),
-                             extras={"local_mass": float(local), "t": float(t), "d_e": d_e})
+                             extras={"local_mass": local, "t": t, "d_e": d_e})

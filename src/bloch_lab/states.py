@@ -10,9 +10,10 @@ generated in any order without changing the draws.  Draws are valid by
 construction (G G^H / Tr or |v><v|) and are wrapped directly; ``from_matrix``
 validates matrices that come from outside.
 
-This module owns two rules.  The integer rule: every dimension, site, count,
-sample index and seed is checked where it enters by ``_check_count`` (a tuple
-by ``_check_dims``), so a bool or a float is rejected, never truncated.  The
+This module owns three rules.  The integer and real rules: every dimension,
+site, count, sample index and seed is checked where it enters by
+``_check_count`` (a tuple by ``_check_dims``), and every q, alpha, g, t and
+marginal entropy by ``_check_real``, so nothing is truncated or parsed.  The
 purity table: every marginal purity Tr(rho_v^2) is read through
 ``_marginal_purity`` and memoized on the state, and ``_check_sites`` checks
 the site subsets that index it.
@@ -24,8 +25,9 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
-from math import fsum, prod
-from numbers import Integral
+from math import fsum, inf, nan, prod
+from numbers import Integral, Real
+from sys import float_info
 
 import numpy as np
 
@@ -67,8 +69,8 @@ class DensityMatrix:
         """Tr(rho^2): the all-sites entry of the purity table."""
         return _marginal_purity(self, range(self.n_sites))
 
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return self.purity() >= 1.0 - tol
+    def is_pure(self) -> bool:
+        return self.purity() >= 1.0 - PURITY_TOL
 
 
 def _check_count(what: str, n, least: int | None = 1) -> int:
@@ -79,6 +81,15 @@ def _check_count(what: str, n, least: int | None = 1) -> int:
             return int(n)
     raise ValueError(f"invalid {what} {n!r}: need an integer"
                      + ("" if least is None else f" >= {least}"))
+
+
+def _check_real(what: str, x, above=-inf, least=-inf, most=float_info.max) -> float:
+    """x as a plain float; ValueError unless a finite real (no bool) > above, >= least and <= most."""
+    v = x if type(x) is float else float(x) if isinstance(x, Real) and not isinstance(x, bool) else nan
+    if above < v and least <= v <= most:  # false for NaN and for either infinity
+        return v
+    raise ValueError(f"invalid {what} {x!r}: need a finite real" + " and".join(
+        f" {op} {b:g}" for op, b in ((">", above), (">=", least), ("<=", most)) if abs(b) < float_info.max))
 
 
 def _check_dims(dims, least: int = 1, what: str = "site dimension") -> tuple[int, ...]:

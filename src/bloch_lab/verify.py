@@ -103,7 +103,7 @@ class Campaign:
         object.__setattr__(self, "dims", _check_dims(self.dims, 2))
         for name in ("samples", "restarts"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
-        if self.threads not in (None, 1):
+        if self.threads is not None and _check_count("threads", self.threads) != 1:
             raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
                              "so only None or 1 is accepted")
 

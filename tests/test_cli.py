@@ -201,6 +201,21 @@ def test_bad_partition_is_usage_error(capsys, tmp_path):
         assert "partition" in err
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("bogus", "unknown normalization rule 'bogus'"),
+    ("unit-range:3", "unit-range normalization takes no value, got 3.0"),
+    ("explicit", "invalid normalization g None: need a finite real > 0"),
+    ("explicit:0", "invalid normalization g 0.0: need a finite real > 0"),
+])
+def test_policy_text_is_checked_by_the_policy(capsys, tmp_path, policy, message):
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,2", "--seed", "1", "--out", state_file)
+    code, out, err = run(capsys, "monotone", "--state", state_file, "--partition", "A|B",
+                         "--policy", policy)
+    assert code == 2 and not out
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [("entropy", "--alpha", "inf"), ("entropy", "--q=-inf"),
                                   ("monotone", "--partition", "A|B", "--policy", "explicit:inf")])
 def test_non_finite_parameter_is_usage_error(capsys, tmp_path, argv):

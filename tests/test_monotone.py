@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, Optimize
 from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
                                    split_sector_norms, tensor_norm_sq)
 from bloch_lab.monotone import (SHIFT_START, SPLIT_MEMO_SIZE, _haar_starts, _haar_unitary,
-                                _solve_split, _SplitObjective)
+                                _solve_split, _SplitObjective, default_policy)
 from bloch_lab.states import _fsum_purities, derive_seed
 
 
@@ -449,10 +450,24 @@ def test_policy_rules():
         NormalizationPolicy("explicit").resolve(2, 2)
 
 
+@pytest.mark.parametrize("rule, value", [("bogus", None), ("unit-range", 5.0),
+                                         ("separable-bound", 1.0), ("explicit", None)])
+def test_policy_checks_itself_when_built(rule, value):
+    # the rule must be a known one, and only the explicit rule takes a value
+    with pytest.raises(ValueError):
+        NormalizationPolicy(rule, value=value)
+
+
+def test_default_policies_are_shared():
+    assert default_policy((0,), (1,)) is default_policy((2,), (0,))
+    assert default_policy((0, 1), (2,)) is default_policy((0,), (1, 2))
+    assert default_policy((0,), (1,)) != default_policy((0, 1), (2,))
+
+
 @pytest.mark.parametrize("g", [float("inf"), float("-inf"), float("nan")])
 def test_explicit_g_must_be_finite(g):
-    with pytest.raises(ValueError, match="finite positive g"):
-        NormalizationPolicy("explicit", value=g).resolve(2, 2)
+    with pytest.raises(ValueError, match=re.escape(f"invalid normalization g {g!r}: need a finite real > 0")):
+        NormalizationPolicy("explicit", value=g)
 
 
 def test_group_of_dimension_one_is_rejected():

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bloch_lab import (Campaign, EnsembleSpec, InvalidStateError, OptimizerConfig,
-                       applicable_inequalities, bases_with_split, bloch_coefficients,
-                       check_lemma6, correlation_monotone, derive_seed, eve_bound, excess,
+from bloch_lab import (Campaign, EnsembleSpec, InvalidStateError, NormalizationPolicy,
+                       OptimizerConfig, applicable_inequalities, bases_with_split,
+                       bloch_coefficients, check_lemma6, check_subadditivity, classify_grid,
+                       classify_triple, correlation_monotone, derive_seed, eve_bound, excess,
                        from_matrix, gellmann_basis, lemma6_bounds, max_entangled,
-                       maximally_mixed, partial_trace, pure, purify, random_state, refine_minimum,
+                       max_sab_genpseudo, max_sab_subadd, maximally_mixed, partial_trace, pure,
+                       pseudo_additivity_residual, purify, random_state, refine_minimum, renyi,
                        save_state, split_basis, sweep_fig1, sweep_figA, sweep_figB, tensor,
-                       tensor_norm_sq, validate_surface)
+                       tensor_norm_sq, tsallis, validate_surface)
 from bloch_lab.cli import main
 from bloch_lab.correlation import default_bases
 from bloch_lab.io import state_from_jsonable, state_to_jsonable
@@ -286,6 +288,7 @@ _INTEGER_INPUTS = {
                          ("verify", "--dims", "2,2", "--samples", "0")),
     "campaign restarts": (lambda v: Campaign(dims=(2, 2), restarts=v), 1, 3, lambda r: r.restarts,
                           ("verify", "--dims", "2,2", "--samples", "2", "--restarts", "0")),
+    "campaign threads": (lambda v: Campaign(dims=(2, 2), threads=v), 1, 1, None, None),
     "refine max_steps": (lambda v: refine_minimum("subadd", MM22, max_steps=v), 0, 1, None, None),
     "basis dim": (lambda v: gellmann_basis(v), 2, 3, lambda r: r.dim, ("basis", "--dim", "1")),
     "split basis dim": (lambda v: split_basis(v, 1), 2, 3, lambda r: r.dim,
@@ -316,6 +319,15 @@ _INTEGER_INPUTS = {
 }
 
 
+def _cli_exits_2(argv, tmp_path, capsys):
+    """main(argv) exits 2 with an error line; S22/S223 in argv stand for state files."""
+    files = {"S22": (2, 2), "S223": (2, 2, 3)}
+    for key, dims in files.items():
+        save_state(random_state(dims, EnsembleSpec()), tmp_path / key)
+    assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
 def test_integer_inputs_share_one_rule(name, tmp_path, capsys):
     # every integer input is checked by states._check_count: a float or bool is
@@ -329,8 +341,71 @@ def test_integer_inputs_share_one_rule(name, tmp_path, capsys):
     if kept is not None:
         assert kept(result) == good and type(kept(result)) is int
     if argv is not None:
-        files = {"S22": (2, 2), "S223": (2, 2, 3)}
-        for key, dims in files.items():
-            save_state(random_state(dims, EnsembleSpec()), tmp_path / key)
-        assert main([str(tmp_path / a) if a in files else a for a in argv]) == 2
-        assert "error:" in capsys.readouterr().err
+        _cli_exits_2(argv, tmp_path, capsys)
+
+
+# ---------------------------------------------------------------------------
+# the real rule
+
+MM2 = maximally_mixed((2,))
+
+# input -> (call with the input set to v, a value outside its range (None: every
+#           finite real is in range), an int and a numpy float it takes, the plain
+#           float the result holds (the input where the result keeps it, else the
+#           value returned; None for a boolean verdict), and argv that gives the CLI
+#           the out-of-range value, or None where the CLI cannot reach it)
+_REAL_INPUTS = {
+    "tsallis q": (lambda v: tsallis(MM22, v), 0, 1, 0.5, lambda r: r,
+                  ("entropy", "--state", "S22", "--q", "0")),
+    "renyi alpha": (lambda v: renyi(MM22, v), 0, 1, 0.5, lambda r: r,
+                    ("entropy", "--state", "S22", "--alpha", "0")),
+    "subadditivity q": (lambda v: check_subadditivity(MM22, v), 0.5, 1, 2.5, lambda r: r.extras["q"],
+                        ("check", "--state", "S22", "--inequality", "subadd", "--q", "0.5")),
+    "pseudo-additivity q": (lambda v: pseudo_additivity_residual(MM2, MM2, v), 0, 2, 0.5,
+                            lambda r: r, None),
+    "explicit g": (lambda v: NormalizationPolicy("explicit", value=v), 0, 1, 0.5, lambda r: r.value,
+                   ("monotone", "--state", "S22", "--partition", "A|B", "--policy", "explicit:0")),
+    "lemma6 t": (lambda v: lemma6_bounds(2, 4, v), 1.5, 1, 0.5, lambda r: r[1], None),
+    "excess value": (lambda v: excess(v, 2), None, 1, 0.5, lambda r: r, None),
+    "max_sab_subadd marginal": (lambda v: max_sab_subadd(v, 0.25, (2, 2)), 0.9, 0, 0.5,
+                                lambda r: r, None),
+    "max_sab_genpseudo marginal": (lambda v: max_sab_genpseudo(0.25, v, (2, 2)), 0.9, 0, 0.5,
+                                   lambda r: r, None),
+    "classify_triple marginal": (lambda v: classify_triple(0.25, 0.25, v, (2, 2, 2)), 0.9, 0, 0.5,
+                                 None, None),
+    "classify_grid marginal": (lambda v: classify_grid(v, 0.25, 0.25, (2, 2, 2)), 0.9, 0, 0.5,
+                               None, None),
+}
+
+
+@pytest.mark.parametrize("name", list(_REAL_INPUTS))
+def test_real_inputs_share_one_rule(name, tmp_path, capsys):
+    # every real input is checked by states._check_real: a bool, a string, None or a
+    # non-finite value raises ValueError (never TypeError, never a result), and so does
+    # a value outside the input's range; an int or a numpy float is taken as the float
+    call, outside, good_int, good_float, plain, argv = _REAL_INPUTS[name]
+    for bad in (True, np.True_, "0.5", None, math.nan, math.inf,
+                *(() if outside is None else (outside,))):
+        with pytest.raises(ValueError):
+            call(bad)
+    for good in (good_int, np.float64(good_float)):
+        result = call(good)
+        assert result == call(float(good))
+        if plain is not None:
+            assert type(plain(result)) is float
+    if argv is not None:
+        _cli_exits_2(argv, tmp_path, capsys)
+
+
+def test_marginal_arrays_follow_the_real_rule():
+    # element-wise: an integer or float array in range is taken; an array of bools or
+    # strings, or one with a non-finite or out-of-range element, raises ValueError
+    axis = np.array([0.0, 0.25, 0.5])
+    calls = (lambda a: max_sab_subadd(a, axis, (2, 2)), lambda a: max_sab_genpseudo(axis, a, (2, 2)),
+             lambda a: classify_grid(axis, axis, a, (2, 2, 2)))
+    for call in calls:
+        call(np.zeros(3, dtype=int))
+        for bad in (np.zeros(3, dtype=bool), np.array(["0", "0", "0"]), np.array([0.0, np.nan, 0.5]),
+                    np.array([0.0, np.inf, 0.5]), np.array([0.0, 0.9, 0.5])):
+            with pytest.raises(ValueError):
+                call(bad)
