@@ -15,8 +15,11 @@ site, count, sample index and seed is checked where it enters by
 ``_check_count`` (a tuple by ``_check_dims``), and every q, alpha, g, t and
 marginal entropy by ``_check_real``, so nothing is truncated or parsed.  The
 purity table: every marginal purity Tr(rho_v^2) is read through
-``_marginal_purity`` and memoized on the state, and ``_check_sites`` checks
-the site subsets that index it.
+``_marginal_purity`` and memoized on the state, the numpy-reduced values
+and the precise (fsum-reduced) ones each in their own table.
+``_check_sites`` checks the site subsets that index it, once per cached
+trace plan (``_trace_plan``), and ``partial_trace`` and the table trace
+through the same plans.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from math import fsum, inf, nan, prod
 from numbers import Integral, Real
 from sys import float_info
@@ -48,8 +51,10 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    # Tr(rho_v^2) per sorted site subset v, filled by _marginal_purity
+    # Tr(rho_v^2) per sorted site subset v, filled by _marginal_purity; the
+    # fsum-reduced values read inside _fsum_purities have their own table
     _marginal_purities: dict = field(default_factory=dict, repr=False, compare=False)
+    _precise_purities: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dims = _check_dims(self.dims)
@@ -85,7 +90,10 @@ def _check_count(what: str, n, least: int | None = 1) -> int:
 
 def _check_real(what: str, x, above=-inf, least=-inf, most=float_info.max) -> float:
     """x as a plain float; ValueError unless a finite real (no bool) > above, >= least and <= most."""
-    v = x if type(x) is float else float(x) if isinstance(x, Real) and not isinstance(x, bool) else nan
+    try:
+        v = x if type(x) is float else float(x) if isinstance(x, Real) and not isinstance(x, bool) else nan
+    except OverflowError:  # an int too large for a float
+        v = nan
     if above < v and least <= v <= most:  # false for NaN and for either infinity
         return v
     raise ValueError(f"invalid {what} {x!r}: need a finite real" + " and".join(
@@ -172,23 +180,37 @@ def _check_sites(sites, n: int, what: str) -> tuple[int, ...]:
     return v
 
 
-def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every site not in ``keep``; kept sites keep their order."""
-    n = state.n_sites
+@lru_cache(maxsize=256)
+def _trace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple | None:
+    """How to trace a state on ``dims`` down to the sites ``keep``; None when keep holds every site.
+
+    The plan is (tensor shape, einsum input labels, output labels, the
+    marginal's square shape).  Site i's row index is label i and its column
+    index label n + i; a traced site's column takes its row label.  The sites
+    are checked once, when the plan is built.
+    """
+    n = len(dims)
     keep = _check_sites(keep, n, "kept sites")
     if keep == tuple(range(n)):
+        return None
+    labels = tuple(range(n)) + tuple(n + i if i in keep else i for i in range(n))
+    d = prod(dims[i] for i in keep)
+    return dims + dims, labels, keep + tuple(n + i for i in keep), (d, d)
+
+
+def _traced(matrix: np.ndarray, plan: tuple) -> np.ndarray:
+    shape, labels, out, square = plan
+    return np.einsum(matrix.reshape(shape), labels, out).reshape(square)
+
+
+def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every site not in ``keep``; kept sites keep their order."""
+    # checked on every call: plans are keyed by value, and True or 1.0 equals site 1
+    keep = _check_sites(keep, state.n_sites, "kept sites")
+    plan = _trace_plan(state.dims, keep)
+    if plan is None:
         return state
-    dims = state.dims
-    row = list(range(n))
-    col = [n + i for i in range(n)]
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    out = [row[i] for i in keep] + [col[i] for i in keep]
-    red = np.einsum(state.matrix.reshape(dims + dims), row + col, out)
-    kept_dims = tuple(dims[i] for i in keep)
-    d = prod(kept_dims)
-    return DensityMatrix(kept_dims, red.reshape(d, d))
+    return DensityMatrix(tuple(state.dims[i] for i in keep), _traced(state.matrix, plan))
 
 
 _FSUM = ContextVar("fsum_purities", default=False)
@@ -207,21 +229,25 @@ def _fsum_purities():
 def _marginal_purity(state: DensityMatrix, keep) -> float:
     """Tr(rho_v^2) of the marginal on the sites ``keep`` (all sites: the state).
 
-    Every closed-form check is a formula over these purities.  The standard
-    value is one numpy reduction, memoized on the state so that the checks
-    of one sample share their partial traces.  Inside ``_fsum_purities``
-    the same squares are reduced with math.fsum and nothing is cached; this
-    is the only place where the standard and precise evaluations differ.
+    Every closed-form check is a formula over these purities.  Each value is
+    memoized on the state, so that the checks of one sample share their
+    marginals: the standard value, one numpy reduction, in
+    ``_marginal_purities``, and inside ``_fsum_purities`` the same squares
+    reduced with math.fsum in ``_precise_purities``.  The reduction is the
+    only place where the standard and precise evaluations differ.  A miss
+    traces with the cached ``_trace_plan`` that ``partial_trace`` uses, so
+    the marginal is the same bit for bit.
     """
     keep = tuple(sorted(keep))
-    cache = state._marginal_purities
-    if keep in cache and not _FSUM.get():
-        return cache[keep]
-    m = state.matrix if keep == tuple(range(state.n_sites)) else partial_trace(state, keep).matrix
-    if _FSUM.get():
-        return fsum((np.abs(m.ravel()) ** 2).tolist())
-    cache[keep] = float(np.vdot(m, m).real)
-    return cache[keep]
+    precise = _FSUM.get()
+    table = state._precise_purities if precise else state._marginal_purities
+    value = table.get(keep)
+    if value is None:
+        plan = _trace_plan(state.dims, keep)
+        m = state.matrix if plan is None else _traced(state.matrix, plan)
+        value = fsum((np.abs(m.ravel()) ** 2).tolist()) if precise else float(np.vdot(m, m).real)
+        table[keep] = value
+    return value
 
 
 def purify(state: DensityMatrix) -> DensityMatrix:

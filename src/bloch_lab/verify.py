@@ -244,9 +244,12 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # Every closed-form check (and the equal-dimension or composite monotone) is
 # a formula over marginal purities Tr(rho_v^2).  The re-check runs the very
 # same checks with each purity's sum of squares reduced by math.fsum, so a
-# candidate cannot be an artifact of naive accumulation order.  The split
-# optimizer (thm1i and lemma5 between sites of unequal dimension) reads no
-# purities; its re-check returns the memoized standard solve.
+# candidate cannot be an artifact of naive accumulation order.  The precise
+# purities are tabled on the state apart from the standard ones, and both
+# tables trace the same marginals as partial_trace, from one cached trace
+# plan.  The split optimizer (thm1i and lemma5 between sites of unequal
+# dimension) reads no purities; its re-check returns the memoized standard
+# solve.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:

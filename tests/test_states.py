@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -18,10 +19,11 @@ from bloch_lab import (Campaign, EnsembleSpec, InvalidStateError, NormalizationP
                        pseudo_additivity_residual, purify, random_state, refine_minimum, renyi,
                        save_state, split_basis, sweep_fig1, sweep_figA, sweep_figB, tensor,
                        tensor_norm_sq, tsallis, validate_surface)
+from bloch_lab import states
 from bloch_lab.cli import main
 from bloch_lab.correlation import default_bases
 from bloch_lab.io import state_from_jsonable, state_to_jsonable
-from bloch_lab.states import _fsum_purities
+from bloch_lab.states import _fsum_purities, _marginal_purity
 from bloch_lab.verify import make_check_table
 
 
@@ -123,6 +125,8 @@ def test_site_subsets_share_one_rule(bad):
     s = hs_state((2, 2, 2), seed=5)
     with pytest.raises(ValueError, match="kept sites"):
         partial_trace(s, bad)
+    with pytest.raises(ValueError, match="kept sites"):
+        _marginal_purity(s, bad)
     with pytest.raises(ValueError, match="partition"):
         correlation_monotone(s, (bad, (1,)))
     with pytest.raises(ValueError, match="subset"):
@@ -240,6 +244,30 @@ def test_purity_reads_the_purity_table():
     assert not s._marginal_purities  # the precise value is never cached
     assert s.purity() == float(np.vdot(s.matrix, s.matrix).real)
     assert s._marginal_purities == {(0, 1): s.purity()}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_purity_table_matches_partial_trace_bit_for_bit(dims):
+    s = hs_state(dims, seed=31)
+    for r in range(1, len(dims)):
+        for keep in itertools.combinations(range(len(dims)), r):
+            m = partial_trace(s, keep).matrix
+            assert _marginal_purity(s, keep) == float(np.vdot(m, m).real)
+            with _fsum_purities():
+                assert _marginal_purity(s, keep) == math.fsum((np.abs(m.ravel()) ** 2).tolist())
+
+
+def test_precise_purities_are_tabled(monkeypatch):
+    s = hs_state((2, 2, 3), seed=33)
+    plans = []
+    plan = states._trace_plan
+    monkeypatch.setattr(states, "_trace_plan", lambda *a: plans.append(a) or plan(*a))
+    with _fsum_purities():
+        first = _marginal_purity(s, (0, 2))
+        assert len(plans) == 1
+        assert _marginal_purity(s, (2, 0)) == first
+        assert len(plans) == 1  # the second read computes no marginal
+    assert not s._marginal_purities  # precise reads never write the standard table
 
 
 def test_purity_cache_matches_direct():
@@ -380,11 +408,12 @@ _REAL_INPUTS = {
 
 @pytest.mark.parametrize("name", list(_REAL_INPUTS))
 def test_real_inputs_share_one_rule(name, tmp_path, capsys):
-    # every real input is checked by states._check_real: a bool, a string, None or a
-    # non-finite value raises ValueError (never TypeError, never a result), and so does
-    # a value outside the input's range; an int or a numpy float is taken as the float
+    # every real input is checked by states._check_real: a bool, a string, None, a
+    # non-finite value or an int too large for a float raises ValueError (never
+    # TypeError or OverflowError, never a result), and so does a value outside the
+    # input's range; an int or a numpy float is taken as the float
     call, outside, good_int, good_float, plain, argv = _REAL_INPUTS[name]
-    for bad in (True, np.True_, "0.5", None, math.nan, math.inf,
+    for bad in (True, np.True_, "0.5", None, math.nan, math.inf, 10**400, -10**400,
                 *(() if outside is None else (outside,))):
         with pytest.raises(ValueError):
             call(bad)
