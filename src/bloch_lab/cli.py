@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .basis import gellmann_basis, split_basis
 from .correlation import bases_with_split, bloch_coefficients
-from .entropy import dim_ssa_vs_subadd, linear_entropy, renyi, tsallis
+from .entropy import _sl, dim_ssa_vs_subadd, linear_entropy, renyi, tsallis
 from .errors import BlochLabError
 from .figures import sweep_fig1, sweep_figA, sweep_figB
 from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_jsonable,
@@ -29,7 +29,7 @@ from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_
                  state_to_jsonable, tensor_to_jsonable, write_fig1_csv, write_figA_csv,
                  write_figB_csv)
 from .monotone import NormalizationPolicy, OptimizerConfig, correlation_monotone
-from .states import EnsembleSpec, partial_trace, random_state
+from .states import EnsembleSpec, random_state
 from .verify import _CHECKS, CHECK_ORDER, Campaign, _check_for, run_campaign
 
 _CONFIG_TYPES = {
@@ -125,6 +125,10 @@ def _parse_policy(text: str | None) -> NormalizationPolicy | None:
     return NormalizationPolicy(rule, float(value) if colon else None)
 
 
+def _optimizer_from_args(args) -> OptimizerConfig:
+    return OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
+
+
 def _ensemble_from_args(args) -> EnsembleSpec:
     options = _given(args, "rank_cap")
     if (kind := _resolve(args, "ensemble", None)) is not None:
@@ -179,9 +183,8 @@ def _cmd_tensor(args) -> int:
 def _cmd_monotone(args) -> int:
     state = load_state(args.state)
     partition = _parse_partition(args.partition, state.n_sites)
-    cfg = OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
-    result = correlation_monotone(state, partition,
-                                  policy=_parse_policy(_resolve(args, "policy", None)), config=cfg)
+    result = correlation_monotone(state, partition, policy=_parse_policy(_resolve(args, "policy", None)),
+                                  config=_optimizer_from_args(args))
     _emit(monotone_to_jsonable(result), args.out)
     return 0
 
@@ -196,9 +199,7 @@ def _cmd_entropy(args) -> int:
         "linear_entropy": linear_entropy(state),
         "tsallis": tsallis(state, q),
         "renyi": renyi(state, alpha),
-        "site_linear_entropies": [
-            linear_entropy(partial_trace(state, (j,))) for j in range(state.n_sites)
-        ],
+        "site_linear_entropies": [_sl(state, (j,)) for j in range(state.n_sites)],
     }
     _emit(payload, args.out)
     return 0
@@ -213,8 +214,7 @@ def _cmd_check(args) -> int:
     _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
     if args.inequality in _CHECKS:
         # a config-file restarts or seed is a shared default: only a check that reads it checks it
-        cfg = (OptimizerConfig(seed=_resolve(args, "seed", _default_seed()), **_given(args, "restarts"))
-               if "config" in takes else None)
+        cfg = _optimizer_from_args(args) if "config" in takes else None
         check = _check_for(args.inequality, state.dims, config=cfg,
                            q=_resolve(args, "q", None), d_e=_resolve(args, "d_e", None))
     _emit(report_to_jsonable(check(state)), args.out)

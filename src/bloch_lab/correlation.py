@@ -23,7 +23,7 @@ import numpy as np
 
 from .basis import OperatorBasis, gellmann_basis, split_basis
 from .errors import NumericError
-from .states import DensityMatrix, _check_count, _check_sites
+from .states import DensityMatrix, _check_count, _check_partition, _check_sites
 
 IMAG_TOL = 1e-8
 
@@ -147,10 +147,7 @@ def cross_norm_sum(coeffs: BlochCoefficients, omega, sigma) -> float:
     Requires omega and sigma to be disjoint and to cover every site of the
     coefficient array.  Computed by inclusion-exclusion on slice masses.
     """
-    omega = _check_sites(omega, coeffs.n_sites, "subset")
-    sigma = _check_sites(sigma, coeffs.n_sites, "subset")
-    if set(omega) & set(sigma):
-        raise ValueError(f"invalid partition: overlapping groups {omega} and {sigma}")
+    omega, sigma = _check_partition((omega, sigma), coeffs.n_sites)
     if set(omega) | set(sigma) != set(range(coeffs.n_sites)):
         raise ValueError("invalid partition: groups must cover all sites of the coefficient array")
     n = coeffs.n_sites

@@ -195,7 +195,7 @@ def _marginal_dims(dims, **marginals) -> tuple[int, ...]:
         elif s.dtype.kind not in "iuf":
             raise ValueError(f"invalid marginal {name} of dtype {s.dtype}: need an array of reals")
         if not np.all((-RANGE_TOL <= s) & (s <= 1.0 - 1.0 / d + RANGE_TOL)):
-            raise ValueError(f"out-of-range marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
+            raise ValueError(f"invalid marginal {name}={s!r}: need 0 <= {name} <= 1 - 1/{d}")
     return sites
 
 

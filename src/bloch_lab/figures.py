@@ -13,6 +13,7 @@ import numpy as np
 from .entropy import (_bisection_residual, _marginal_axes, _site_dims, classify_grid,
                       max_sab_genpseudo, max_sab_subadd)
 from .errors import NumericError
+from .monotone import _UNIT_RANGE
 from .states import _check_count, _check_dims
 
 FIG1_CASES = ("worst", "best")
@@ -41,7 +42,7 @@ def sweep_fig1(d_values=(2, 3, 4, 100), case: str = "worst", points: int = 101) 
     t = np.linspace(0.0, 1.0, _check_count("points", points, 2))
     excess: dict[int, np.ndarray] = {}
     for d in d_values:
-        g = d * d - 1
+        g = _UNIT_RANGE.resolve(d, d)
         room = g * (1.0 - t)
         local = np.zeros_like(t) if case == "worst" else np.minimum(2.0 * d - 2.0, room)
         # bound = (d^4 - 1 - 2 local - 2 g t) / (g (d_E - 1)) with d_E - 1 = g, so

@@ -23,7 +23,7 @@ correlation mass is
   (``_optimize_split``).  A restart's shift starts at a quarter of the
   worst-case shift that makes every step an ascent, and doubles, up to
   it, in place of a step that would lower Q.  The last few solves are
-  memoized on the reduced matrix and the optimizer settings
+  memoized on the traced marginal's bytes and the optimizer settings
   (``_solve_split``), so re-checking a state repeats no ascent.
 
 The reported value divides the raw mass by a normalization g chosen by a
@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import NotPureError
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_real, _check_sites, _marginal_purity,
-                     derive_seed, partial_trace)
+from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
+                     _marginal, _marginal_purity, derive_seed)
 
 # split solves kept by _solve_split: the most that one check makes on one
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
@@ -144,18 +144,6 @@ class MonotoneResult:
     unitary: np.ndarray | None
     sweeps: int = 0
     restart_values: tuple[float, ...] = ()
-
-
-def _check_partition(state: DensityMatrix, partition):
-    try:
-        omega, sigma = partition
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"invalid partition {partition!r}: need (omega, sigma)") from exc
-    omega = _check_sites(omega, state.n_sites, "partition group")
-    sigma = _check_sites(sigma, state.n_sites, "partition group")
-    if set(omega) & set(sigma):
-        raise ValueError(f"invalid partition: groups {omega} and {sigma} overlap")
-    return omega, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     Sites outside the partition are traced out first.  See the module
     docstring for when the split-basis maximization runs.
     """
-    omega, sigma = _check_partition(state, partition)
+    omega, sigma = _check_partition(partition, state.n_sites)
     d_om = prod(state.dims[s] for s in omega)
     d_sg = prod(state.dims[s] for s in sigma)
     g = (policy or default_policy(omega, sigma)).resolve(d_om, d_sg)
@@ -326,19 +314,19 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
 
     # single site vs single site, unequal dimensions: optimize the split on
     # their two-site marginal, whose sites keep their order
-    state = partial_trace(state, considered)
     small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
     c = min(d_om, d_sg)
     config = config or OptimizerConfig()
     values, U, converged, sweeps, compressed = _solve_split(
-        state.matrix.tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
+        _marginal(state, considered).tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
     raw = max(values)
+    purity = _marginal_purity(state, considered)
     # (c/(d_B - c)) times the split-basis mass outside the low joint block,
     # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
-    delta = c * c * (state.purity() - compressed)
+    delta = c * c * (purity - compressed)
     return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
                           restarts=config.restarts, delta=delta,
-                          heuristic_max=not state.is_pure(), unitary=U,
+                          heuristic_max=not _is_pure(purity), unitary=U,
                           sweeps=sweeps, restart_values=values)
 
 
@@ -347,8 +335,8 @@ def _solve_split(matrix: bytes, d_small: int, d_large: int, small_first: bool,
                  config: OptimizerConfig) -> tuple[tuple[float, ...], np.ndarray, bool, int, float]:
     """(restart values, best U, converged, sweeps, Tr(((1xP) rho (1xP))^2)) of one split solve.
 
-    The solve is deterministic in its arguments: the bytes of the reduced
-    two-site complex matrix, the two dimensions, the site order and the
+    The solve is deterministic in its arguments: the bytes of the traced
+    two-site marginal, the two dimensions, the site order and the
     frozen config.  It reads no marginal purities, so the fsum re-check
     gets the same answer, and a campaign's precise re-check of a sample
     hits the memo instead of re-running the optimizer.  The cached U is
@@ -402,8 +390,7 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) ->
 
 def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
     """(d^4 + 1 - 2 d^2 P_AB) / g_ABE from the AB purity P_AB = Tr(rho_AB^2)."""
-    g_abe = (d * d - 1) * (d_e - 1)
-    return float((d ** 4 + 1 - 2.0 * d * d * p_ab) / g_abe)
+    return float((d ** 4 + 1 - 2.0 * d * d * p_ab) / _SEPARABLE_BOUND.resolve(d * d, d_e))
 
 
 def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
@@ -453,7 +440,7 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     d = _check_count("dimension", d, 2)
     d_e = _check_count("environment dimension", d_e)
     t = _check_real("monotone value", t, least=0.0, most=1.0)
-    g = d * d - 1
+    g = _UNIT_RANGE.resolve(d, d)
     return max(0.0, d * d / d_e - 1.0 - g * t), min(2.0 * d - 2.0, g * (1.0 - t))
 
 

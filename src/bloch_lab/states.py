@@ -10,16 +10,16 @@ generated in any order without changing the draws.  Draws are valid by
 construction (G G^H / Tr or |v><v|) and are wrapped directly; ``from_matrix``
 validates matrices that come from outside.
 
-This module owns three rules.  The integer and real rules: every dimension,
-site, count, sample index and seed is checked where it enters by
-``_check_count`` (a tuple by ``_check_dims``), and every q, alpha, g, t and
-marginal entropy by ``_check_real``, so nothing is truncated or parsed.  The
-purity table: every marginal purity Tr(rho_v^2) is read through
-``_marginal_purity`` and memoized on the state, the numpy-reduced values
-and the precise (fsum-reduced) ones each in their own table.
-``_check_sites`` checks the site subsets that index it, once per cached
-trace plan (``_trace_plan``), and ``partial_trace`` and the table trace
-through the same plans.
+This module owns the input rules: every dimension, site, count, sample index
+and seed is checked where it enters by ``_check_count`` (a tuple by
+``_check_dims``), every q, alpha, g, t and marginal entropy by
+``_check_real``, a site subset by ``_check_sites`` and a bipartition by
+``_check_partition``; nothing is truncated or parsed.  It owns the trace rule:
+``_marginal`` traces through a cached plan (``_trace_plan``, which checks its
+subset once), and ``partial_trace``, the purity table and the split monotone
+all read it.  And it owns the purity table: every Tr(rho_v^2) is read through
+``_marginal_purity`` and memoized on the state, the numpy-reduced and the
+precise (fsum-reduced) values each in their own table.
 """
 
 from __future__ import annotations
@@ -75,7 +75,19 @@ class DensityMatrix:
         return _marginal_purity(self, range(self.n_sites))
 
     def is_pure(self) -> bool:
-        return self.purity() >= 1.0 - PURITY_TOL
+        return _is_pure(self.purity())
+
+
+def _is_pure(purity: float) -> bool:
+    return purity >= 1.0 - PURITY_TOL
+
+
+def _shown(x) -> str:
+    """repr(x) for an error message, or a stand-in where repr fails (an int of over 4,300 digits)."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
 
 
 def _check_count(what: str, n, least: int | None = 1) -> int:
@@ -84,7 +96,7 @@ def _check_count(what: str, n, least: int | None = 1) -> int:
     if type(n) is int or (isinstance(n, Integral) and not isinstance(n, bool)):
         if least is None or n >= least:
             return int(n)
-    raise ValueError(f"invalid {what} {n!r}: need an integer"
+    raise ValueError(f"invalid {what} {_shown(n)}: need an integer"
                      + ("" if least is None else f" >= {least}"))
 
 
@@ -96,7 +108,7 @@ def _check_real(what: str, x, above=-inf, least=-inf, most=float_info.max) -> fl
         v = nan
     if above < v and least <= v <= most:  # false for NaN and for either infinity
         return v
-    raise ValueError(f"invalid {what} {x!r}: need a finite real" + " and".join(
+    raise ValueError(f"invalid {what} {_shown(x)}: need a finite real" + " and".join(
         f" {op} {b:g}" for op, b in ((">", above), (">=", least), ("<=", most)) if abs(b) < float_info.max))
 
 
@@ -108,7 +120,7 @@ def _check_dims(dims, least: int = 1, what: str = "site dimension") -> tuple[int
     except TypeError:  # not a sequence
         checked = ()
     if not checked:
-        raise ValueError(f"invalid {what} list {dims!r}: need a non-empty sequence of integers")
+        raise ValueError(f"invalid {what} list {_shown(dims)}: need a non-empty sequence of integers")
     return checked
 
 
@@ -176,8 +188,21 @@ def _check_sites(sites, n: int, what: str) -> tuple[int, ...]:
     sites = _check_dims(sites, 0, what)
     v = tuple(sorted(sites))
     if len(set(v)) != len(v) or v[-1] >= n:
-        raise ValueError(f"invalid {what} {sites}: need distinct sites in 0..{n - 1}")
+        raise ValueError(f"invalid {what} {_shown(sites)}: need distinct sites in 0..{n - 1}")
     return v
+
+
+def _check_partition(partition, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(omega, sigma) as sorted site tuples; ValueError unless two disjoint site groups of n sites."""
+    try:
+        omega, sigma = partition
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"invalid partition {_shown(partition)}: need (omega, sigma)") from exc
+    omega = _check_sites(omega, n, "partition group")
+    sigma = _check_sites(sigma, n, "partition group")
+    if set(omega) & set(sigma):
+        raise ValueError(f"invalid partition: groups {omega} and {sigma} overlap")
+    return omega, sigma
 
 
 @lru_cache(maxsize=256)
@@ -198,19 +223,21 @@ def _trace_plan(dims: tuple[int, ...], keep: tuple[int, ...]) -> tuple | None:
     return dims + dims, labels, keep + tuple(n + i for i in keep), (d, d)
 
 
-def _traced(matrix: np.ndarray, plan: tuple) -> np.ndarray:
+def _marginal(state: DensityMatrix, keep) -> np.ndarray:
+    """The marginal's matrix on the sites ``keep`` (all sites: the state's own matrix)."""
+    plan = _trace_plan(state.dims, keep)
+    if plan is None:
+        return state.matrix
     shape, labels, out, square = plan
-    return np.einsum(matrix.reshape(shape), labels, out).reshape(square)
+    return np.einsum(state.matrix.reshape(shape), labels, out).reshape(square)
 
 
 def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every site not in ``keep``; kept sites keep their order."""
     # checked on every call: plans are keyed by value, and True or 1.0 equals site 1
     keep = _check_sites(keep, state.n_sites, "kept sites")
-    plan = _trace_plan(state.dims, keep)
-    if plan is None:
-        return state
-    return DensityMatrix(tuple(state.dims[i] for i in keep), _traced(state.matrix, plan))
+    m = _marginal(state, keep)
+    return state if m is state.matrix else DensityMatrix(tuple(state.dims[i] for i in keep), m)
 
 
 _FSUM = ContextVar("fsum_purities", default=False)
@@ -243,8 +270,7 @@ def _marginal_purity(state: DensityMatrix, keep) -> float:
     table = state._precise_purities if precise else state._marginal_purities
     value = table.get(keep)
     if value is None:
-        plan = _trace_plan(state.dims, keep)
-        m = state.matrix if plan is None else _traced(state.matrix, plan)
+        m = _marginal(state, keep)
         value = fsum((np.abs(m.ravel()) ** 2).tolist()) if precise else float(np.vdot(m, m).real)
         table[keep] = value
     return value

@@ -19,13 +19,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subadditivity)
+from .io import state_to_jsonable
 from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
                        check_thm1_ii)
 from .reports import _APPLIES, CANDIDATE_TOL, SLACK_TOL, _require_applicable
@@ -233,8 +234,6 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
 
 def negation_control(campaign: Campaign) -> CampaignReport:
     """Re-run a campaign with every slack sign flipped (detection self-test)."""
-    from dataclasses import replace
-
     return run_campaign(replace(campaign, negate=True))
 
 
@@ -249,7 +248,7 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # tables trace the same marginals as partial_trace, from one cached trace
 # plan.  The split optimizer (thm1i and lemma5 between sites of unequal
 # dimension) reads no purities; its re-check returns the memoized standard
-# solve.
+# solve, and only its delta reads the precise purity.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:
@@ -261,8 +260,6 @@ def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_REST
 
 def _dump_counterexample(campaign: Campaign, name: str, index: int,
                          state: DensityMatrix, slack: float, precise: float) -> str:
-    from .io import state_to_jsonable
-
     digest = hashlib.sha256(state.matrix.tobytes() + name.encode()).hexdigest()[:12]
     out_dir = Path(campaign.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import itertools
 import re
 
 import numpy as np
 import pytest
 
-from bloch_lab import (EnsembleSpec, NormalizationPolicy, NotPureError, OptimizerConfig,
-                       check_lemma5, check_lemma6, check_thm1_i, check_thm1_ii,
+from bloch_lab import (DensityMatrix, EnsembleSpec, MonotoneResult, NormalizationPolicy, NotPureError,
+                       OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i, check_thm1_ii,
                        correlation_monotone, eve_bound, excess, from_matrix,
                        lemma6_bounds, max_entangled, maximally_mixed,
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
@@ -346,6 +348,37 @@ def test_memo_hit_equals_fresh_solve():
     for name in ("value", "raw", "delta", "sweeps", "restart_values", "converged"):
         assert getattr(hit, name) == getattr(fresh, name), name
     assert hit.unitary.tobytes() == fresh.unitary.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4)])
+def test_split_solve_on_traced_pair_equals_solve_on_its_partial_trace(dims):
+    # the monotone traces site 0 out itself; the reference solves the marginal that
+    # partial_trace returns, afresh: every field must agree bit for bit, and the
+    # pure pair's marginal must be found pure, with the standard and precise purities
+    for pair in (hs_state(dims, seed=43), haar_pure(dims, seed=43)):
+        s = tensor(hs_state((2,), seed=44), pair)
+        for precise in (False, True):
+            with _fsum_purities() if precise else contextlib.nullcontext():
+                got = correlation_monotone(s, ((1,), (2,)))
+                _solve_split.cache_clear()
+                want = correlation_monotone(partial_trace(s, (1, 2)), ((0,), (1,)))
+            for f in dataclasses.fields(MonotoneResult):
+                if f.name == "unitary":
+                    assert got.unitary.tobytes() == want.unitary.tobytes()
+                else:
+                    assert getattr(got, f.name) == getattr(want, f.name), (dims, precise, f.name)
+            assert got.heuristic_max is not pair.is_pure()
+
+
+def test_split_checks_build_no_marginal_state(monkeypatch):
+    # the split-backed checks read their marginals through the trace plans and the purity table
+    cases = ((check_thm1_i, hs_state((2, 2, 3), seed=45)), (check_lemma5, hs_state((3, 2, 2), seed=45)))
+    built = []
+    init = DensityMatrix.__post_init__
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: (built.append(self.dims), init(self)))
+    for check, s in cases:
+        check(s, OptimizerConfig(restarts=4))
+    assert built == []
 
 
 def test_cached_unitary_is_read_only():

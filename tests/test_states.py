@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from bloch_lab import (Campaign, EnsembleSpec, InvalidStateError, NormalizationPolicy,
                        OptimizerConfig, applicable_inequalities, bases_with_split,
                        bloch_coefficients, check_lemma6, check_subadditivity, classify_grid,
-                       classify_triple, correlation_monotone, derive_seed, eve_bound, excess,
-                       from_matrix, gellmann_basis, lemma6_bounds, max_entangled,
+                       classify_triple, correlation_monotone, cross_norm_sum, derive_seed, eve_bound,
+                       excess, from_matrix, gellmann_basis, lemma6_bounds, max_entangled,
                        max_sab_genpseudo, max_sab_subadd, maximally_mixed, partial_trace, pure,
                        pseudo_additivity_residual, purify, random_state, refine_minimum, renyi,
                        save_state, split_basis, sweep_fig1, sweep_figA, sweep_figB, tensor,
@@ -120,17 +120,31 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(s, (2,))
 
 
-@pytest.mark.parametrize("bad", [(0, 0), (), (3,)], ids=["duplicate", "empty", "out-of-range"])
+@pytest.mark.parametrize("bad", [(0, 0), (), (3,), (1, 2)],
+                         ids=["duplicate", "empty", "out-of-range", "overlap"])
 def test_site_subsets_share_one_rule(bad):
     s = hs_state((2, 2, 2), seed=5)
-    with pytest.raises(ValueError, match="kept sites"):
-        partial_trace(s, bad)
-    with pytest.raises(ValueError, match="kept sites"):
-        _marginal_purity(s, bad)
-    with pytest.raises(ValueError, match="partition"):
+    if bad != (1, 2):  # distinct sites in range: only a partition with (1,) rejects them
+        with pytest.raises(ValueError, match="kept sites"):
+            partial_trace(s, bad)
+        with pytest.raises(ValueError, match="kept sites"):
+            _marginal_purity(s, bad)
+        with pytest.raises(ValueError, match="subset"):
+            tensor_norm_sq(bloch_coefficients(s), bad)
+    # both partition callers reject (bad, (1,)) with the same message
+    with pytest.raises(ValueError, match="partition") as monotone_error:
         correlation_monotone(s, (bad, (1,)))
-    with pytest.raises(ValueError, match="subset"):
-        tensor_norm_sq(bloch_coefficients(s), bad)
+    with pytest.raises(ValueError, match="partition") as cross_error:
+        cross_norm_sum(bloch_coefficients(s), bad, (1,))
+    assert str(cross_error.value) == str(monotone_error.value)
+
+
+def test_rejections_name_an_int_too_long_to_print():
+    # repr of an int of over 4,300 digits raises, so each rule's message names its type instead
+    for call in (lambda: maximally_mixed(10**5000), lambda: partial_trace(MM22, (10**5000,)),
+                 lambda: correlation_monotone(MM22, 10**5000)):
+        with pytest.raises(ValueError, match="^invalid .* too long to print>"):
+            call()
 
 
 def test_purify_round_trip():
@@ -362,8 +376,8 @@ def test_integer_inputs_share_one_rule(name, tmp_path, capsys):
     # rejected (never truncated), and so is a value below the least; a numpy
     # integer is accepted and kept as a plain int
     call, least, good, kept, argv = _INTEGER_INPUTS[name]
-    for bad in (2.7, True, np.float64(2.0), *(() if least is None else (least - 1,))):
-        with pytest.raises(ValueError):
+    for bad in (2.7, True, np.float64(2.0), *(() if least is None else (least - 1, -10**5000))):
+        with pytest.raises(ValueError, match="invalid"):
             call(bad)
     result = call(np.int64(good))
     if kept is not None:
@@ -413,9 +427,9 @@ def test_real_inputs_share_one_rule(name, tmp_path, capsys):
     # TypeError or OverflowError, never a result), and so does a value outside the
     # input's range; an int or a numpy float is taken as the float
     call, outside, good_int, good_float, plain, argv = _REAL_INPUTS[name]
-    for bad in (True, np.True_, "0.5", None, math.nan, math.inf, 10**400, -10**400,
+    for bad in (True, np.True_, "0.5", None, math.nan, math.inf, 10**400, -10**400, 10**5000, -10**5000,
                 *(() if outside is None else (outside,))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid"):
             call(bad)
     for good in (good_int, np.float64(good_float)):
         result = call(good)
