@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -138,8 +139,19 @@ def _ensemble_from_args(args) -> EnsembleSpec:
                         factors=tuple(factors.split(",")) if factors else None, **options)
 
 
+def _nonfinite(x, where: str = "output"):
+    """(where, x) for the first NaN or infinity in a JSON payload, or None."""
+    if isinstance(x, dict | list | tuple):
+        items = x.items() if isinstance(x, dict) else enumerate(x)
+        return next(filter(None, (_nonfinite(v, f"{where}[{k!r}]") for k, v in items)), None)
+    return (where, x) if isinstance(x, float) and not math.isfinite(x) else None
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    """Print or write strict JSON; ValueError naming a NaN or an infinity, which JSON cannot hold."""
+    if bad := _nonfinite(payload):
+        raise ValueError("cannot print %s = %r: JSON has no NaN or infinity" % bad)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -191,17 +203,10 @@ def _cmd_monotone(args) -> int:
 
 def _cmd_entropy(args) -> int:
     state = load_state(args.state)
-    q = _resolve(args, "q", 2.0)
-    alpha = _resolve(args, "alpha", 2.0)
-    payload = {
-        "q": q,
-        "alpha": alpha,
-        "linear_entropy": linear_entropy(state),
-        "tsallis": tsallis(state, q),
-        "renyi": renyi(state, alpha),
-        "site_linear_entropies": [_sl(state, (j,)) for j in range(state.n_sites)],
-    }
-    _emit(payload, args.out)
+    q, alpha = _resolve(args, "q", 2.0), _resolve(args, "alpha", 2.0)
+    _emit({"q": q, "alpha": alpha, "linear_entropy": linear_entropy(state),
+           "tsallis": tsallis(state, q), "renyi": renyi(state, alpha),
+           "site_linear_entropies": [_sl(state, (j,)) for j in range(state.n_sites)]}, args.out)
     return 0
 
 

@@ -8,9 +8,9 @@ q = 2 = 1 - Tr rho^2.
 
 Multi-site checks group sites: check_dim_ssa uses A = site 1, B = site 2,
 C = everything else; the bipartite checks use A = site 1 versus the rest.
-Linear entropies of marginals come from the memoized marginal-purity
-table in states.py, so every check at q = 2 is a formula over
-marginal purities.
+Every entropy of the state or a marginal comes from ``_entropy``: at q = 2
+from the memoized marginal-purity table in states.py, so every check at q = 2
+is a formula over marginal purities, and otherwise from its spectrum.
 """
 
 from __future__ import annotations
@@ -22,52 +22,45 @@ from math import prod
 import numpy as np
 
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import (EIG_TOL, DensityMatrix, _check_count, _check_dims, _check_real, _marginal_purity,
-                     partial_trace, tensor)
+from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_purity,
+                     _marginal_spectrum, tensor)
 
 RANGE_TOL = 1e-12
 
 
-def _eigvals_clipped(state: DensityMatrix) -> np.ndarray:
-    w = np.linalg.eigvalsh(state.matrix)
-    if float(w.min()) < -EIG_TOL:
-        raise ValueError(f"invalid state: eigenvalue {w.min():.3e} below -{EIG_TOL:g}")
-    return np.clip(w, 0.0, None)
+def _entropy(state: DensityMatrix, q: float, keep=None, renyi: bool = False) -> float:
+    """S_q of the marginal on ``keep`` (default: the whole state): Tsallis in nats, or Renyi in bits.
 
-
-def _von_neumann_nats(state: DensityMatrix) -> float:
-    w = _eigvals_clipped(state)
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum())
-
-
-def _trace_power(state: DensityMatrix, q: float) -> float:
+    q = 2 reads the purity table; any other q, the spectrum w through t = Tr rho^q - 1 =
+    sum w expm1((q-1) ln w), exact near q = 1.  Renyi's ln Tr rho^q is log1p(t) while
+    Tr rho^q > 1/2, else the log-sum shifted by lambda_max, which cannot underflow."""
+    keep = range(state.n_sites) if keep is None else keep
     if q == 2.0:
-        return state.purity()
-    w = _eigvals_clipped(state)
-    w = w[w > 0.0]
-    return float((w ** q).sum())
+        return float(np.log2(_marginal_purity(state, keep)) / (1.0 - q)) if renyi else _sl(state, keep)
+    w = _marginal_spectrum(state, keep)
+    if q == 1.0:
+        h = float(-(w * np.log(w)).sum())
+        return float(h / np.log(2.0)) if renyi else h
+    t = float((w * np.expm1((q - 1.0) * np.log(w))).sum())
+    if not renyi:
+        return -t / (q - 1.0)
+    ln_tr = np.log1p(t) if t > -0.5 else q * np.log(w[-1]) + np.log(((w / w[-1]) ** q).sum())
+    return float(ln_tr / ((1.0 - q) * np.log(2.0)))
 
 
 def linear_entropy(state: DensityMatrix) -> float:
     """1 - Tr(rho^2)."""
-    return _sl(state)
+    return _entropy(state, 2.0)
 
 
 def tsallis(state: DensityMatrix, q: float) -> float:
     """(1 - Tr rho^q)/(q - 1); q = 1 returns the von Neumann entropy in nats."""
-    q = _check_real("q", q, above=0.0)
-    if q == 1.0:
-        return _von_neumann_nats(state)
-    return (1.0 - _trace_power(state, q)) / (q - 1.0)
+    return _entropy(state, _check_real("q", q, above=0.0))
 
 
 def renyi(state: DensityMatrix, alpha: float) -> float:
     """log2(Tr rho^alpha)/(1 - alpha); alpha = 1 returns von Neumann in bits."""
-    alpha = _check_real("alpha", alpha, above=0.0)
-    if alpha == 1.0:
-        return float(_von_neumann_nats(state) / np.log(2.0))
-    return float(np.log2(_trace_power(state, alpha)) / (1.0 - alpha))
+    return _entropy(state, _check_real("alpha", alpha, above=0.0), renyi=True)
 
 
 @dataclass
@@ -80,11 +73,8 @@ class EntropyVector:
 
 def entropy_vector(state: DensityMatrix) -> EntropyVector:
     n = state.n_sites
-    values: dict[tuple[int, ...], float] = {}
-    for r in range(1, n + 1):
-        for v in combinations(range(n), r):
-            values[v] = _sl(state, v)
-    return EntropyVector(dims=state.dims, values=values)
+    subsets = (v for r in range(1, n + 1) for v in combinations(range(n), r))
+    return EntropyVector(dims=state.dims, values={v: _entropy(state, 2.0, v) for v in subsets})
 
 
 def _sl(state: DensityMatrix, keep=None) -> float:
@@ -129,12 +119,7 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityRepor
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
     _require_applicable("subadd", state.dims)
     q = _check_real("q", q, least=1.0)
-
-    def s_q(keep):
-        return _sl(state, keep) if q == 2.0 else tsallis(partial_trace(state, keep), q)
-
-    lhs = s_q(range(state.n_sites))
-    rhs = s_q((0,)) + s_q(range(1, state.n_sites))
+    lhs, rhs = _entropy(state, q), _entropy(state, q, (0,)) + _entropy(state, q, range(1, state.n_sites))
     return report_from_sides("subadd", lhs, rhs, extras={"q": q})
 
 
@@ -168,9 +153,7 @@ def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q
     q = _check_real("q", q, above=0.0)
     if q == 1.0:
         raise ValueError("invalid q 1.0: pseudo-additivity needs q != 1")
-    sa = tsallis(state_a, q)
-    sb = tsallis(state_b, q)
-    joint = tsallis(tensor(state_a, state_b), q)
+    sa, sb, joint = (_entropy(s, q) for s in (state_a, state_b, tensor(state_a, state_b)))
     return float(joint - sa - sb - (1.0 - q) * sa * sb)
 
 

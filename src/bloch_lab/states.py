@@ -16,8 +16,9 @@ and seed is checked where it enters by ``_check_count`` (a tuple by
 ``_check_real``, a site subset by ``_check_sites`` and a bipartition by
 ``_check_partition``; nothing is truncated or parsed.  It owns the trace rule:
 ``_marginal`` traces through a cached plan (``_trace_plan``, which checks its
-subset once), and ``partial_trace``, the purity table and the split monotone
-all read it.  And it owns the purity table: every Tr(rho_v^2) is read through
+subset once), and ``partial_trace``, the purity table, the split monotone and
+the entropies' one eigenvalue rule, ``_marginal_spectrum``, all read it.  It
+owns the purity table: every Tr(rho_v^2) is read through
 ``_marginal_purity`` and memoized on the state, the numpy-reduced and the
 precise (fsum-reduced) values each in their own table.
 """
@@ -274,6 +275,16 @@ def _marginal_purity(state: DensityMatrix, keep) -> float:
         value = fsum((np.abs(m.ravel()) ** 2).tolist()) if precise else float(np.vdot(m, m).real)
         table[keep] = value
     return value
+
+
+def _marginal_spectrum(state: DensityMatrix, keep) -> np.ndarray:
+    """The marginal's eigenvalues above d eps lambda_max (numpy's matrix_rank tolerance), ascending.
+    Smaller ones are rounding noise, which an entropy at q < 1 would count as support, but
+    EIG_TOL would drop real weight too.  ValueError on an eigenvalue below -EIG_TOL."""
+    w = np.linalg.eigvalsh(_marginal(state, keep))
+    if w[0] < -EIG_TOL:
+        raise ValueError(f"invalid state: eigenvalue {w[0]:.3e} below -{EIG_TOL:g}")
+    return w[w > w.size * np.finfo(float).eps * w[-1]]
 
 
 def purify(state: DensityMatrix) -> DensityMatrix:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from math import inf
 
 import pytest
 
@@ -12,7 +13,7 @@ from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, check_dim_ssa,
                        check_gen_pseudo_additivity, check_lemma5, check_lemma6,
                        check_subadditivity, check_thm1_i, check_thm1_ii,
                        dim_ssa_vs_subadd, random_state, save_state)
-from bloch_lab.cli import _parse_partition, main
+from bloch_lab.cli import _nonfinite, _parse_partition, main
 from bloch_lab.io import report_to_jsonable
 from bloch_lab.verify import CHECK_ORDER, applicable_inequalities
 
@@ -225,6 +226,21 @@ def test_non_finite_parameter_is_usage_error(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+def test_non_finite_result_is_usage_error(capsys, tmp_path):
+    # g = 5e-324 is a finite real > 0, but value = raw / g overflows, and JSON has no infinity
+    state_file = str(tmp_path / "s.json")
+    run(capsys, "state", "random", "--dims", "2,2", "--seed", "1", "--out", state_file)
+    code, out, err = run(capsys, "monotone", "--state", state_file, "--partition", "A|B",
+                         "--policy", "explicit:5e-324")
+    assert code == 2 and out == ""
+    assert "output['value'] = inf" in err
+
+
+def test_non_finite_values_are_found_where_they_nest():
+    assert _nonfinite({"a": [1.0, {"b": float("-inf")}], "c": float("nan")}) == ("output['a'][1]['b']", -inf)
+    assert _nonfinite({"a": [1.0, (2, "inf")], "b": None, "c": True}) is None
 
 
 @pytest.mark.parametrize("restarts", ["0", "-5"])

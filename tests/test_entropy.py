@@ -3,6 +3,9 @@ variants, attainability surfaces and triple classification."""
 
 from __future__ import annotations
 
+import warnings
+from decimal import Context, Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +14,30 @@ from hypothesis import strategies as st
 from bloch_lab import (DensityMatrix, EnsembleSpec, check_dim_ssa, check_gen_pseudo_additivity,
                        check_subadditivity, classify_grid, classify_triple,
                        dim_ssa_vs_subadd, entropy_vector, linear_entropy,
-                       max_sab_genpseudo, max_sab_subadd, maximally_mixed,
+                       max_sab_genpseudo, max_sab_subadd, maximally_mixed, partial_trace,
                        pseudo_additivity_residual, pure, random_state, renyi,
                        tsallis, validate_surface)
+from bloch_lab.states import _marginal_spectrum
+
+ORDERS = (0.1, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-15, 1.0 + 1e-12, 1.5, 2.0, 3.0, 7.0, 50.0)
 
 
 def hs_state(dims, seed, index=0):
     return random_state(dims, EnsembleSpec(kind="hilbert-schmidt", seed=seed), index)
+
+
+def decimal_entropies(w, q: float) -> tuple[float, float]:
+    """(Tsallis in nats, Renyi in bits) of the spectrum w normalized to sum 1, to 60 digits."""
+    with localcontext(Context(prec=60, Emin=-10**9, Emax=10**9)):  # room for lambda^(1e6)
+        w = [Decimal(float(x)) for x in w]
+        w = [x / sum(w) for x in w]
+        ln2 = Decimal(2).ln()
+        if q == 1.0:
+            h = -sum(x * x.ln() for x in w)
+            return float(h), float(h / ln2)
+        qd = Decimal(q)
+        power_sum = sum(x ** qd for x in w)
+        return float((1 - power_sum) / (qd - 1)), float(power_sum.ln() / ((1 - qd) * ln2))
 
 
 # ---------------------------------------------------------------------------
@@ -65,11 +85,54 @@ def test_renyi_alpha_one_is_von_neumann_bits():
     assert renyi(s, 1.0 + 1e-7) == pytest.approx(renyi(s, 1.0), abs=1e-5)
 
 
-@pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+@pytest.mark.parametrize("q", [0.1, 0.5])
+def test_pure_state_has_no_entropy_at_small_order(q):
+    # four of its six eigenvalues are rounding noise, which is no support
+    s = random_state((2, 3), EnsembleSpec(kind="pure-haar", seed=1))
+    assert abs(tsallis(s, q)) <= 1e-14
+    assert abs(renyi(s, q)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-15])
+def test_entropies_are_continuous_at_order_one(q):
+    # S_q itself moves by about 1.1e-12 at |q - 1| = 1e-12 here, so take the slope at q = 1 along:
+    # dS_q/dq = -sum w ln^2 w / 2 (Tsallis), -(sum w ln^2 w - H^2) / (2 ln 2) (Renyi, bits)
+    for i in range(10):
+        s = hs_state((2, 3), seed=1, index=i)
+        w = np.linalg.eigvalsh(s.matrix)
+        m2, h = float((w * np.log(w) ** 2).sum()), tsallis(s, 1.0)
+        assert abs(tsallis(s, q) - (h - (q - 1.0) * m2 / 2)) <= 1e-13, i
+        assert abs(renyi(s, q) - (renyi(s, 1.0) - (q - 1.0) * (m2 - h * h) / (2 * np.log(2.0)))) <= 1e-13, i
+
+
+def test_renyi_at_large_order_does_not_underflow():
+    # Tr rho^2000 underflows to 0; the log-sum shifted by lambda_max does not
+    s = hs_state((2, 3), seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert renyi(s, 2000.0) == pytest.approx(1.4072140281679, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6), kind=st.sampled_from(["hilbert-schmidt", "pure-haar", "induced"]),
+       keep=st.sampled_from([(0, 1), (0,), (1,)]),
+       q=st.sampled_from(ORDERS) | st.floats(0.05, 1e6))
+def test_entropies_match_a_decimal_reference(seed, kind, keep, q):
+    # on (2,3) states of every rank and their marginals; the reference normalizes the kept spectrum
+    s = random_state((2, 3), EnsembleSpec(kind=kind, seed=seed, rank_cap=2 if kind == "induced" else None))
+    marginal = partial_trace(s, keep)
+    want_tsallis, want_renyi = decimal_entropies(_marginal_spectrum(s, keep), q)
+    assert abs(tsallis(marginal, q) - want_tsallis) <= 1e-14
+    assert abs(renyi(marginal, q) - want_renyi) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.5, 3.0, 4.0])
 def test_tsallis_rejects_negative_eigenvalues_at_every_order(q):
+    # and so does renyi: every order but 2 reads the spectrum rule
     bad = DensityMatrix((2,), np.diag([1.1, -0.1]))
-    with pytest.raises(ValueError, match="eigenvalue"):
-        tsallis(bad, q)
+    for entropy in (tsallis, renyi):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            entropy(bad, q)
 
 
 def test_entropy_order_guards():
@@ -153,6 +216,19 @@ def test_gen_pseudo_product_pure_slack():
 def test_subadd_on_random_states(q):
     for i in range(15):
         assert check_subadditivity(hs_state((2, 3), seed=107, index=i), q=q).holds
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3)])
+def test_subadd_sides_are_the_entropies_of_partial_traces(dims, q):
+    # the sides read the state's own marginals; the reference builds each marginal state
+    for kind in ("hilbert-schmidt", "pure-haar"):
+        for i in range(4):
+            s = random_state(dims, EnsembleSpec(kind=kind, seed=7), i)
+            rep = check_subadditivity(s, q)
+            rest = tuple(range(1, s.n_sites))
+            assert rep.lhs == tsallis(partial_trace(s, tuple(range(s.n_sites))), q)
+            assert rep.rhs == tsallis(partial_trace(s, (0,)), q) + tsallis(partial_trace(s, rest), q)
 
 
 def test_subadd_rejects_q_below_one():

@@ -6,13 +6,14 @@ import contextlib
 import dataclasses
 import itertools
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bloch_lab import (DensityMatrix, EnsembleSpec, MonotoneResult, NormalizationPolicy, NotPureError,
-                       OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i, check_thm1_ii,
-                       correlation_monotone, eve_bound, excess, from_matrix,
+                       OptimizerConfig, check_lemma5, check_lemma6, check_subadditivity, check_thm1_i,
+                       check_thm1_ii, correlation_monotone, eve_bound, excess, from_matrix,
                        lemma6_bounds, max_entangled, maximally_mixed,
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
@@ -371,13 +372,17 @@ def test_split_solve_on_traced_pair_equals_solve_on_its_partial_trace(dims):
 
 
 def test_split_checks_build_no_marginal_state(monkeypatch):
-    # the split-backed checks read their marginals through the trace plans and the purity table
-    cases = ((check_thm1_i, hs_state((2, 2, 3), seed=45)), (check_lemma5, hs_state((3, 2, 2), seed=45)))
+    # the split-backed checks, and subadditivity at q != 2, read their marginals through the
+    # trace plans, the purity table and the spectrum rule
+    config = OptimizerConfig(restarts=4)
+    cases = ((partial(check_thm1_i, config=config), hs_state((2, 2, 3), seed=45)),
+             (partial(check_lemma5, config=config), hs_state((3, 2, 2), seed=45)),
+             (partial(check_subadditivity, q=3.0), hs_state((2, 2, 3), seed=45)))
     built = []
     init = DensityMatrix.__post_init__
     monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: (built.append(self.dims), init(self)))
     for check, s in cases:
-        check(s, OptimizerConfig(restarts=4))
+        check(s)
     assert built == []
 
 
