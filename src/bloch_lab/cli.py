@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .basis import gellmann_basis, split_basis
 from .correlation import bases_with_split, bloch_coefficients
-from .entropy import _sl, dim_ssa_vs_subadd, linear_entropy, renyi, tsallis
+from .entropy import _entropy, dim_ssa_vs_subadd, linear_entropy, renyi, tsallis
 from .errors import BlochLabError
 from .figures import sweep_fig1, sweep_figA, sweep_figB
 from .io import (basis_to_jsonable, fig1_to_jsonable, figA_to_jsonable, figB_to_jsonable,
@@ -206,7 +206,7 @@ def _cmd_entropy(args) -> int:
     q, alpha = _resolve(args, "q", 2.0), _resolve(args, "alpha", 2.0)
     _emit({"q": q, "alpha": alpha, "linear_entropy": linear_entropy(state),
            "tsallis": tsallis(state, q), "renyi": renyi(state, alpha),
-           "site_linear_entropies": [_sl(state, (j,)) for j in range(state.n_sites)]}, args.out)
+           "site_linear_entropies": [_entropy(state, 2.0, (j,)) for j in range(state.n_sites)]}, args.out)
     return 0
 
 

@@ -9,8 +9,9 @@ q = 2 = 1 - Tr rho^2.
 Multi-site checks group sites: check_dim_ssa uses A = site 1, B = site 2,
 C = everything else; the bipartite checks use A = site 1 versus the rest.
 Every entropy of the state or a marginal comes from ``_entropy``: at q = 2
-from the memoized marginal-purity table in states.py, so every check at q = 2
-is a formula over marginal purities, and otherwise from its spectrum.
+from the memoized marginal-purity table in states.py, and otherwise from its
+spectrum.  dim-ssa and gen-pseudo are linear entropies only, so they read
+that table (``states._purities``) as formulas over marginal purities.
 """
 
 from __future__ import annotations
@@ -22,30 +23,36 @@ from math import prod
 import numpy as np
 
 from .reports import InequalityReport, _require_applicable, report_from_sides
-from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_purity,
-                     _marginal_spectrum, tensor)
+from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum,
+                     _purities, tensor)
 
 RANGE_TOL = 1e-12
 
 
-def _entropy(state: DensityMatrix, q: float, keep=None, renyi: bool = False) -> float:
-    """S_q of the marginal on ``keep`` (default: the whole state): Tsallis in nats, or Renyi in bits.
+def _entropy(state: DensityMatrix, q: float, keep: tuple[int, ...] | None = None,
+             renyi: bool = False) -> float:
+    """S_q of the marginal on the sorted sites ``keep`` (default: the whole state): Tsallis in
+    nats, or Renyi in bits.
 
     q = 2 reads the purity table; any other q, the spectrum w through t = Tr rho^q - 1 =
     sum w expm1((q-1) ln w), exact near q = 1.  Renyi's ln Tr rho^q is log1p(t) while
-    Tr rho^q > 1/2, else the log-sum shifted by lambda_max, which cannot underflow."""
-    keep = range(state.n_sites) if keep is None else keep
+    Tr rho^q > 1/2, else the log-sum shifted by lambda_max, which cannot underflow.
+    An entropy of exactly 0 is returned as +0.0 on every branch."""
+    keep = tuple(range(state.n_sites)) if keep is None else keep
+    # "+ 0.0" turns the -0.0 that negating or dividing an exact 0 can give into 0.0,
+    # and leaves every other value as it is
     if q == 2.0:
-        return float(np.log2(_marginal_purity(state, keep)) / (1.0 - q)) if renyi else _sl(state, keep)
+        p = _purities(state)[keep]
+        return float(np.log2(p) / (1.0 - q)) + 0.0 if renyi else 1.0 - p
     w = _marginal_spectrum(state, keep)
     if q == 1.0:
-        h = float(-(w * np.log(w)).sum())
+        h = float(-(w * np.log(w)).sum()) + 0.0
         return float(h / np.log(2.0)) if renyi else h
     t = float((w * np.expm1((q - 1.0) * np.log(w))).sum())
     if not renyi:
-        return -t / (q - 1.0)
+        return -t / (q - 1.0) + 0.0
     ln_tr = np.log1p(t) if t > -0.5 else q * np.log(w[-1]) + np.log(((w / w[-1]) ** q).sum())
-    return float(ln_tr / ((1.0 - q) * np.log(2.0)))
+    return float(ln_tr / ((1.0 - q) * np.log(2.0))) + 0.0
 
 
 def linear_entropy(state: DensityMatrix) -> float:
@@ -77,11 +84,6 @@ def entropy_vector(state: DensityMatrix) -> EntropyVector:
     return EntropyVector(dims=state.dims, values={v: _entropy(state, 2.0, v) for v in subsets})
 
 
-def _sl(state: DensityMatrix, keep=None) -> float:
-    """Linear entropy of the marginal on ``keep`` (default: the whole state)."""
-    return 1.0 - _marginal_purity(state, range(state.n_sites) if keep is None else keep)
-
-
 def _abc(state: DensityMatrix, name: str):
     """(dA, dB, C's sites, (dA dB + 1 - dA - dB)/(dA dB)) of dim-ssa's A|B|C grouping."""
     _require_applicable(name, state.dims, rule="dim-ssa")
@@ -96,8 +98,9 @@ def check_dim_ssa(state: DensityMatrix) -> InequalityReport:
     with A = site 1, B = site 2, C = the rest.  Tight at maximal mixedness.
     """
     da, db, c_sites, const = _abc(state, "dim-ssa")
-    lhs = _sl(state) + _sl(state, c_sites) / (da * db)
-    rhs = _sl(state, (0,) + c_sites) / db + _sl(state, (1,) + c_sites) / da + const
+    P = _purities(state)
+    lhs = (1.0 - P[(0, 1) + c_sites]) + (1.0 - P[c_sites]) / (da * db)
+    rhs = (1.0 - P[(0,) + c_sites]) / db + (1.0 - P[(1,) + c_sites]) / da + const
     return report_from_sides("dim-ssa", lhs, rhs, extras={"constant": const})
 
 
@@ -109,8 +112,9 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     is that margin (negative means padded subadditivity wins there).
     """
     da, db, c_sites, const = _abc(state, "dim-ssa-vs-subadd")
-    comparison = ((1.0 - 1.0 / db) * _sl(state, (0,) + c_sites) + _sl(state, (1,))
-                  - _sl(state, (1,) + c_sites) / da + _sl(state, c_sites) / (da * db))
+    P = _purities(state)
+    comparison = ((1.0 - 1.0 / db) * (1.0 - P[(0,) + c_sites]) + (1.0 - P[(1,)])
+                  - (1.0 - P[(1,) + c_sites]) / da + (1.0 - P[c_sites]) / (da * db))
     return report_from_sides("dim-ssa-vs-subadd", const, comparison,
                              extras={"comparison": comparison, "constant": const})
 
@@ -119,7 +123,8 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityRepor
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
     _require_applicable("subadd", state.dims)
     q = _check_real("q", q, least=1.0)
-    lhs, rhs = _entropy(state, q), _entropy(state, q, (0,)) + _entropy(state, q, range(1, state.n_sites))
+    rest = tuple(range(1, state.n_sites))
+    lhs, rhs = _entropy(state, q), _entropy(state, q, (0,)) + _entropy(state, q, rest)
     return report_from_sides("subadd", lhs, rhs, extras={"q": q})
 
 
@@ -140,9 +145,9 @@ def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     tight at maximal mixedness; A = site 1, B = the rest.
     """
     _require_applicable("gen-pseudo", state.dims)
-    s_ab = _sl(state)
-    s_a = _sl(state, (0,))
-    s_b = _sl(state, range(1, state.n_sites))
+    P = _purities(state)
+    n = state.n_sites
+    s_ab, s_a, s_b = 1.0 - P[tuple(range(n))], 1.0 - P[(0,)], 1.0 - P[tuple(range(1, n))]
     return report_from_sides("gen-pseudo", _genpseudo_floor(s_ab, state.dim),
                              _genpseudo_side(s_a, s_b),
                              extras={"s_ab": s_ab, "s_a": s_a, "s_b": s_b})

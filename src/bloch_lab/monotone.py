@@ -43,7 +43,7 @@ import numpy as np
 from .errors import NotPureError
 from .reports import InequalityReport, _require_applicable, report_from_sides
 from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
-                     _marginal, _marginal_purity, derive_seed)
+                     _marginal, _purities, derive_seed)
 
 # split solves kept by _solve_split: the most that one check makes on one
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
@@ -293,6 +293,16 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
 # the monotone itself
 
 
+def _is_closed(omega: tuple[int, ...], sigma: tuple[int, ...], d_om: int, d_sg: int) -> bool:
+    """Whether the raw mass across omega|sigma is the purity formula (``_closed_raw``), not a maximization."""
+    return len(omega) > 1 or len(sigma) > 1 or d_om == d_sg
+
+
+def _closed_raw(d_om: int, d_sg: int, p_joint: float, p_om: float, p_sg: float) -> float:
+    """d_Omega d_Sigma P_OmegaSigma - d_Omega P_Omega - d_Sigma P_Sigma + 1 from the three purities."""
+    return d_om * d_sg * p_joint - d_om * p_om - d_sg * p_sg + 1.0
+
+
 def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationPolicy | None = None,
                          config: OptimizerConfig | None = None) -> MonotoneResult:
     """Normalized correlation mass across a bipartition of (some) sites.
@@ -305,10 +315,10 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     d_sg = prod(state.dims[s] for s in sigma)
     g = (policy or default_policy(omega, sigma)).resolve(d_om, d_sg)
     considered = tuple(sorted(omega + sigma))
+    P = _purities(state)
 
-    if len(omega) > 1 or len(sigma) > 1 or d_om == d_sg:
-        raw = (d_om * d_sg * _marginal_purity(state, considered)
-               - d_om * _marginal_purity(state, omega) - d_sg * _marginal_purity(state, sigma) + 1.0)
+    if _is_closed(omega, sigma, d_om, d_sg):
+        raw = _closed_raw(d_om, d_sg, P[considered], P[omega], P[sigma])
         return MonotoneResult(value=raw / g, g=g, raw=raw, converged=True, restarts=0,
                               delta=0.0, heuristic_max=False, unitary=None)
 
@@ -317,10 +327,12 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
     c = min(d_om, d_sg)
     config = config or OptimizerConfig()
+    m = _marginal(state, considered)
     values, U, converged, sweeps, compressed = _solve_split(
-        _marginal(state, considered).tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
+        m.tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
     raw = max(values)
-    purity = _marginal_purity(state, considered)
+    # the memo key's marginal fills the table entry, so the pair is traced once
+    purity = P[considered] if considered in P else P.fill(considered, m)
     # (c/(d_B - c)) times the split-basis mass outside the low joint block,
     # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
     delta = c * c * (purity - compressed)
@@ -372,20 +384,44 @@ def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None
 
 # ---------------------------------------------------------------------------
 # inequality checks
+#
+# Each check is a formula over the state's purity table: it resolves g for
+# its module-constant pairs, and reads each closed pair's raw mass from the
+# table (``_pair_value``).  Only a split pair goes through
+# correlation_monotone and its optimizer.
+
+# (omega, sigma, their sorted union) of each pair a check reads
+_A_B, _A_E, _B_E = ((0,), (1,), (0, 1)), ((0,), (2,), (0, 2)), ((1,), (2,), (1, 2))
+_AB_E, _A_BE = ((0, 1), (2,), (0, 1, 2)), ((0,), (1, 2), (0, 1, 2))
+
+
+def _pair_value(state: DensityMatrix, P, pair, d_om: int, d_sg: int, g: float,
+                config: OptimizerConfig | None = None) -> float:
+    """correlation_monotone(state, pair).value for groups of dimensions d_om, d_sg and their g.
+
+    A closed pair is the purity formula over the table P, so no partition is
+    re-checked and no MonotoneResult is built; a split pair is solved by
+    correlation_monotone.
+    """
+    omega, sigma, joint = pair
+    if _is_closed(omega, sigma, d_om, d_sg):
+        return _closed_raw(d_om, d_sg, P[joint], P[omega], P[sigma]) / g
+    return correlation_monotone(state, (omega, sigma), config=config).value
 
 
 def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Monogamy of the monotone: T(A|E) + T(B|E) <= (g_ABE/min(g_AE, g_BE)) T(AB|E)."""
     _require_applicable("thm1i", state.dims)
-    t_ae = correlation_monotone(state, ((0,), (2,)), config=config)
-    t_be = correlation_monotone(state, ((1,), (2,)), config=config)
-    t_abe = correlation_monotone(state, ((0, 1), (2,)))
-    coeff = t_abe.g / min(t_ae.g, t_be.g)
-    lhs = t_ae.value + t_be.value
-    rhs = coeff * t_abe.value
-    return report_from_sides("thm1i", lhs, rhs,
-                             extras={"t_ae": t_ae.value, "t_be": t_be.value,
-                                     "t_abe": t_abe.value, "coefficient": coeff})
+    d, _, d_e = state.dims
+    # A|E and B|E have the same dimensions, so g_AE = g_BE
+    g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
+    P = _purities(state)
+    t_ae = _pair_value(state, P, _A_E, d, d_e, g_e, config)
+    t_be = _pair_value(state, P, _B_E, d, d_e, g_e, config)
+    t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g_abe)
+    coeff = g_abe / g_e
+    return report_from_sides("thm1i", t_ae + t_be, coeff * t_abe,
+                             extras={"t_ae": t_ae, "t_be": t_be, "t_abe": t_abe, "coefficient": coeff})
 
 
 def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
@@ -402,17 +438,18 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for eve bound: need two equal sites, got {state_ab.dims}")
     d_e = _check_count("environment dimension", d_e, 2)
-    return _eve_bound(state_ab.dims[0], d_e, _marginal_purity(state_ab, (0, 1)))
+    return _eve_bound(state_ab.dims[0], d_e, _purities(state_ab)[(0, 1)])
 
 
 def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
     """T(AB|E) cannot exceed the bound computed from the AB marginal."""
     _require_applicable("thm1ii", state.dims)
-    t_abe = correlation_monotone(state, ((0, 1), (2,)))
-    # P_AB comes from the state's own purity table, which T(AB|E) just filled
-    bound = _eve_bound(state.dims[0], state.dims[2], _marginal_purity(state, (0, 1)))
-    return report_from_sides("thm1ii", t_abe.value, bound,
-                             extras={"t_abe": t_abe.value, "g": t_abe.g})
+    d, _, d_e = state.dims
+    g = _SEPARABLE_BOUND.resolve(d * d, d_e)
+    P = _purities(state)
+    t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g)
+    return report_from_sides("thm1ii", t_abe, _eve_bound(d, d_e, P[(0, 1)]),
+                             extras={"t_abe": t_abe, "g": g})
 
 
 def excess(value: float, d: int) -> float:
@@ -423,11 +460,18 @@ def excess(value: float, d: int) -> float:
 def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
     """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
     _require_applicable("lemma5", state.dims)
-    t_ab = correlation_monotone(state, ((0,), (1,)), config=config)
-    t_abe = correlation_monotone(state, ((0,), (1, 2)))
-    lhs = (t_ab.g / t_abe.g) * t_ab.value
-    return report_from_sides("lemma5", lhs, t_abe.value,
-                             extras={"t_ab": t_ab.value, "t_a_be": t_abe.value})
+    d_a, d_b, d_e = state.dims
+    g_ab, g_abe = _UNIT_RANGE.resolve(d_a, d_b), _SEPARABLE_BOUND.resolve(d_a, d_b * d_e)
+    P = _purities(state)
+    t_ab = _pair_value(state, P, _A_B, d_a, d_b, g_ab, config)
+    t_abe = _pair_value(state, P, _A_BE, d_a, d_b * d_e, g_abe)
+    return report_from_sides("lemma5", (g_ab / g_abe) * t_ab, t_abe,
+                             extras={"t_ab": t_ab, "t_a_be": t_abe})
+
+
+def _lemma6_bounds(d: int, d_e: int, g: float, t: float) -> tuple[float, float]:
+    """lemma6_bounds with g = d^2 - 1 resolved, and no input rules."""
+    return max(0.0, d * d / d_e - 1.0 - g * t), min(2.0 * d - 2.0, g * (1.0 - t))
 
 
 def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
@@ -440,8 +484,7 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     d = _check_count("dimension", d, 2)
     d_e = _check_count("environment dimension", d_e)
     t = _check_real("monotone value", t, least=0.0, most=1.0)
-    g = _UNIT_RANGE.resolve(d, d)
-    return max(0.0, d * d / d_e - 1.0 - g * t), min(2.0 * d - 2.0, g * (1.0 - t))
+    return _lemma6_bounds(d, d_e, _UNIT_RANGE.resolve(d, d), t)
 
 
 def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
@@ -449,9 +492,11 @@ def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityR
     _require_applicable("lemma6", state_ab.dims)
     d = state_ab.dims[0]
     d_e = d * d if d_e is None else _check_count("environment dimension", d_e)
+    g = _UNIT_RANGE.resolve(d, d)
+    P = _purities(state_ab)
     # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
-    local = d * (_marginal_purity(state_ab, (0,)) + _marginal_purity(state_ab, (1,))) - 2.0
-    t = correlation_monotone(state_ab, ((0,), (1,))).value
-    lower, upper = lemma6_bounds(d, d_e, min(max(t, 0.0), 1.0))
+    local = d * (P[(0,)] + P[(1,)]) - 2.0
+    t = _pair_value(state_ab, P, _A_B, d, d, g)
+    lower, upper = _lemma6_bounds(d, d_e, g, min(max(t, 0.0), 1.0))
     return report_from_sides("lemma6", lower, upper, slack=min(local - lower, upper - local),
                              extras={"local_mass": local, "t": t, "d_e": d_e})

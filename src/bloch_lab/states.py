@@ -18,9 +18,10 @@ and seed is checked where it enters by ``_check_count`` (a tuple by
 ``_marginal`` traces through a cached plan (``_trace_plan``, which checks its
 subset once), and ``partial_trace``, the purity table, the split monotone and
 the entropies' one eigenvalue rule, ``_marginal_spectrum``, all read it.  It
-owns the purity table: every Tr(rho_v^2) is read through
-``_marginal_purity`` and memoized on the state, the numpy-reduced and the
-precise (fsum-reduced) values each in their own table.
+owns the purity table: every Tr(rho_v^2) is read through the state's
+``_PurityTable`` (``_purities``, or ``_marginal_purity`` for a subset in any
+order) and memoized on the state, the numpy-reduced and the precise
+(fsum-reduced) values each in their own table.
 """
 
 from __future__ import annotations
@@ -52,16 +53,18 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    # Tr(rho_v^2) per sorted site subset v, filled by _marginal_purity; the
-    # fsum-reduced values read inside _fsum_purities have their own table
-    _marginal_purities: dict = field(default_factory=dict, repr=False, compare=False)
-    _precise_purities: dict = field(default_factory=dict, repr=False, compare=False)
+    # Tr(rho_v^2) per sorted site subset v (_PurityTable); the fsum-reduced
+    # values read inside _fsum_purities have their own table
+    _marginal_purities: _PurityTable = field(init=False, repr=False, compare=False)
+    _precise_purities: _PurityTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dims = _check_dims(self.dims)
         m = np.asarray(self.matrix, dtype=complex)
         m.setflags(write=False)
         self.matrix = m
+        self._marginal_purities = _PurityTable(self.dims, m, False)
+        self._precise_purities = _PurityTable(self.dims, m, True)
 
     @property
     def dim(self) -> int:
@@ -254,27 +257,46 @@ def _fsum_purities():
         _FSUM.reset(token)
 
 
-def _marginal_purity(state: DensityMatrix, keep) -> float:
-    """Tr(rho_v^2) of the marginal on the sites ``keep`` (all sites: the state).
+class _PurityTable(dict):
+    """Tr(rho_v^2) of one state's marginals, keyed by sorted site tuple v.
 
-    Every closed-form check is a formula over these purities.  Each value is
-    memoized on the state, so that the checks of one sample share their
-    marginals: the standard value, one numpy reduction, in
-    ``_marginal_purities``, and inside ``_fsum_purities`` the same squares
-    reduced with math.fsum in ``_precise_purities``.  The reduction is the
-    only place where the standard and precise evaluations differ.  A miss
-    traces with the cached ``_trace_plan`` that ``partial_trace`` uses, so
-    the marginal is the same bit for bit.
+    Formulas index it with literal keys, ``P[(0, 2)]``; a miss traces the
+    marginal with the cached ``_trace_plan`` that ``partial_trace`` uses, so
+    it is the same bit for bit, and tables its purity.  The table holds the
+    state's ``dims`` and ``matrix``, which is all ``_marginal`` reads of a
+    state, and not the state itself, so a state and its tables form no
+    reference cycle.  The standard table reduces each marginal's squares
+    with one numpy reduction, the precise one with math.fsum: the reduction
+    is the only place where the standard and precise evaluations differ.
     """
-    keep = tuple(sorted(keep))
-    precise = _FSUM.get()
-    table = state._precise_purities if precise else state._marginal_purities
-    value = table.get(keep)
-    if value is None:
-        m = _marginal(state, keep)
-        value = fsum((np.abs(m.ravel()) ** 2).tolist()) if precise else float(np.vdot(m, m).real)
-        table[keep] = value
-    return value
+
+    __slots__ = ("dims", "matrix", "precise")
+
+    def __init__(self, dims: tuple[int, ...], matrix: np.ndarray, precise: bool):
+        self.dims, self.matrix, self.precise = dims, matrix, precise
+
+    def __missing__(self, keep: tuple[int, ...]) -> float:
+        return self.fill(keep, _marginal(self, keep))
+
+    def fill(self, keep: tuple[int, ...], m: np.ndarray) -> float:
+        """Table the purity of ``m``, the marginal on the sorted sites ``keep``, and return it."""
+        value = self[keep] = (fsum((np.abs(m.ravel()) ** 2).tolist()) if self.precise
+                              else float(np.vdot(m, m).real))
+        return value
+
+
+def _purities(state: DensityMatrix) -> _PurityTable:
+    """The state's purity table that formulas read: the precise one inside ``_fsum_purities``.
+
+    Every closed-form check is a formula over it, and each value is
+    memoized, so the checks of one sample share their marginals.
+    """
+    return state._precise_purities if _FSUM.get() else state._marginal_purities
+
+
+def _marginal_purity(state: DensityMatrix, keep) -> float:
+    """Tr(rho_v^2) of the marginal on the sites ``keep``, in any order (all sites: the state)."""
+    return _purities(state)[tuple(sorted(keep))]
 
 
 def _marginal_spectrum(state: DensityMatrix, keep) -> np.ndarray:

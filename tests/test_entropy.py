@@ -3,6 +3,7 @@ variants, attainability surfaces and triple classification."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from decimal import Context, Decimal, localcontext
 
@@ -91,6 +92,20 @@ def test_pure_state_has_no_entropy_at_small_order(q):
     s = random_state((2, 3), EnsembleSpec(kind="pure-haar", seed=1))
     assert abs(tsallis(s, q)) <= 1e-14
     assert abs(renyi(s, q)) <= 1e-14
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+def test_an_entropy_of_exactly_zero_is_positive_zero(q):
+    # negating t = 0, or a q = 1 sum of 0, once gave -0.0, which JSON prints as "-0.0"
+    basis = pure([1, 0, 0, 0], (2, 2))  # its one kept eigenvalue is exactly 1
+    for value in (tsallis(basis, q), renyi(basis, q), check_subadditivity(basis, max(q, 1.0)).lhs):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, value
+
+
+def test_subadd_of_a_pure_state_prints_positive_zero():
+    s = random_state((2, 2, 3), EnsembleSpec(kind="pure-haar", seed=2))
+    lhs = check_subadditivity(s, 3.0).lhs
+    assert lhs == 0.0 and math.copysign(1.0, lhs) == 1.0
 
 
 @pytest.mark.parametrize("q", [1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-15])

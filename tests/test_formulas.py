@@ -1,0 +1,113 @@
+"""Checks as formulas over the purity table: frozen values, pair values, and what a campaign skips."""
+
+from __future__ import annotations
+
+import contextlib
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
+                       check_thm1_ii, correlation_monotone, random_state, run_campaign)
+from bloch_lab import monotone, states
+from bloch_lab.reports import _APPLIES
+from bloch_lab.states import _fsum_purities
+from bloch_lab.verify import CAMPAIGN_RESTARTS, make_check_table
+
+FROZEN_FILE = Path(__file__).with_name("frozen_check_reprs.json")
+FROZEN_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))
+# (ensemble kind, sample index) of the states each shape is checked on
+FROZEN_STATES = (("hilbert-schmidt", 0), ("hilbert-schmidt", 1), ("pure-haar", 0))
+FROZEN_SEED = 7
+
+
+def check_reprs() -> dict[str, dict[str, str]]:
+    """'kind-index dims check mode' -> repr of lhs, rhs, slack and each extras value.
+
+    Every campaign check applicable to each frozen state, with the campaign's
+    restarts, once as is and once inside ``_fsum_purities``.
+    """
+    rows = {}
+    for dims in FROZEN_SHAPES:
+        table = make_check_table(dims, restarts=CAMPAIGN_RESTARTS)
+        for kind, index in FROZEN_STATES:
+            state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
+            for name, check in table.items():
+                for mode in ("standard", "precise"):
+                    if mode == "precise":
+                        with _fsum_purities():
+                            report = check(state)
+                    else:
+                        report = check(state)
+                    values = {"lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
+                              **report.extras}
+                    rows[f"{kind}-{index} {dims} {name} {mode}"] = {k: repr(v) for k, v in values.items()}
+    return rows
+
+
+def test_check_values_equal_the_frozen_table():
+    # recorded before the closed checks became formulas over the purity reader
+    frozen = json.loads(FROZEN_FILE.read_text())
+    assert check_reprs() == frozen
+
+
+def test_closed_campaign_checks_no_partition_and_builds_no_monotone_result(monkeypatch):
+    counts = Counter()
+    check_partition, result = monotone._check_partition, monotone.MonotoneResult
+
+    def counted(name, f):
+        return lambda *args, **kwargs: counts.update([name]) or f(*args, **kwargs)
+
+    monkeypatch.setattr(monotone, "_check_partition", counted("partition", check_partition))
+    monkeypatch.setattr(monotone, "MonotoneResult", counted("result", result))
+    # thm1i, thm1ii and lemma5 on (2,2,2) read six closed pairs per sample
+    report = run_campaign(Campaign(dims=(2, 2, 2), samples=4))
+    assert report.total_violations == 0
+    assert counts == Counter()
+    # the spies do count a public call
+    correlation_monotone(random_state((2, 2, 2), EnsembleSpec()), ((0,), (1,)))
+    assert counts == Counter(partition=1, result=1)
+
+
+def test_split_check_traces_each_subset_once(monkeypatch):
+    traced = Counter()
+    marginal = states._marginal
+
+    def counted(state, keep):
+        traced.update([tuple(keep)])
+        return marginal(state, keep)
+
+    monkeypatch.setattr(states, "_marginal", counted)
+    monkeypatch.setattr(monotone, "_marginal", counted)
+    state = random_state((2, 2, 3), EnsembleSpec("hilbert-schmidt", seed=5))
+    check_thm1_i(state, OptimizerConfig(restarts=8))
+    # A|E and B|E are split pairs: the memo key's marginal also fills the purity table
+    assert traced == Counter({(0, 2): 1, (1, 2): 1, (0, 1, 2): 1, (0, 1): 1, (2,): 1})
+
+
+# check name -> (check, {extras key: the pair whose monotone value it reports})
+PAIRS = {
+    "thm1i": (check_thm1_i, {"t_ae": ((0,), (2,)), "t_be": ((1,), (2,)), "t_abe": ((0, 1), (2,))}),
+    "thm1ii": (check_thm1_ii, {"t_abe": ((0, 1), (2,))}),
+    "lemma5": (check_lemma5, {"t_ab": ((0,), (1,)), "t_a_be": ((0,), (1, 2))}),
+    "lemma6": (check_lemma6, {"t": ((0,), (1,))}),
+}
+
+
+@pytest.mark.parametrize("precise", [False, True])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_check_pair_values_equal_the_monotone_bit_for_bit(dims, precise):
+    # (2,2,3), (2,3,2) and (3,2,2) have split pairs; every other pair is closed
+    options = {"config": OptimizerConfig(restarts=8)}
+    for kind in ("hilbert-schmidt", "pure-haar"):
+        state = random_state(dims, EnsembleSpec(kind, seed=11))
+        for name in (name for name in PAIRS if _APPLIES[name](dims)):
+            check, pairs = PAIRS[name]
+            with _fsum_purities() if precise else contextlib.nullcontext():
+                report = check(state, **options) if name in ("thm1i", "lemma5") else check(state)
+                want = {key: correlation_monotone(state, pair, **options).value
+                        for key, pair in pairs.items()}
+            assert {key: repr(report.extras[key]) for key in pairs} == {
+                key: repr(value) for key, value in want.items()}, (name, kind)
