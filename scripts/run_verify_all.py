@@ -8,6 +8,10 @@ leaves a counterexample JSON next to the reports and flips the exit code.
 With --negate-control each campaign is also re-run with the slack signs
 flipped; that run must trip on essentially every sample, otherwise the
 detection path itself is broken and we exit nonzero.
+
+Each shape's campaign cost, wall clock over samples in microseconds per
+sample, goes to stderr, so the stdout table and the --deterministic JSONs
+stay the same from run to run.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ def main() -> None:
         total_violations += report.total_violations
 
         tag = "x".join(str(d) for d in dims)
+        print(f"{tag:<12} campaign {1e6 * report.wall_clock / report.samples:.1f} us/sample",
+              file=sys.stderr)
         for name in applicable_inequalities(dims):
             st = report.stats[name]
             print(f"{tag:<12} {name:<20} {st.samples:>8} {st.violations:>6} "

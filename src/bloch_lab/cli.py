@@ -213,7 +213,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_check(args) -> int:
     state = load_state(args.state)
     # a negative margin is no violation, so dim-ssa-vs-subadd is not a campaign check
-    check, takes = _CHECKS.get(args.inequality, (dim_ssa_vs_subadd, ()))
+    check, _, takes = _CHECKS.get(args.inequality, (dim_ssa_vs_subadd, None, ()))
     # "config" means the check reads an OptimizerConfig, built from --restarts and --seed
     read = {*takes, *(("restarts", "seed") if "config" in takes else ())}
     _reject_unread(args, ("q", "d_e", "restarts", "seed"), read, args.inequality)
@@ -221,7 +221,7 @@ def _cmd_check(args) -> int:
         # a config-file restarts or seed is a shared default: only a check that reads it checks it
         cfg = _optimizer_from_args(args) if "config" in takes else None
         check = _check_for(args.inequality, state.dims, config=cfg,
-                           q=_resolve(args, "q", None), d_e=_resolve(args, "d_e", None))
+                           q=_resolve(args, "q", None), d_e=_resolve(args, "d_e", None))[0]
     _emit(report_to_jsonable(check(state)), args.out)
     return 0
 

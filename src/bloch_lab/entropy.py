@@ -12,6 +12,9 @@ Every entropy of the state or a marginal comes from ``_entropy``: at q = 2
 from the memoized marginal-purity table in states.py, and otherwise from its
 spectrum.  dim-ssa and gen-pseudo are linear entropies only, so they read
 that table (``states._purities``) as formulas over marginal purities.
+Each campaign check is a private formula (``_dim_ssa``, ``_subadd``,
+``_gen_pseudo``) that returns (slack, lhs, rhs, *named values) and runs no
+input rule; its public check applies the rules and reports that tuple.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .reports import InequalityReport, _require_applicable, report_from_sides
+from .reports import InequalityReport, _report, _require_applicable, report_from_sides
 from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum,
                      _purities, tensor)
 
@@ -84,11 +87,19 @@ def entropy_vector(state: DensityMatrix) -> EntropyVector:
     return EntropyVector(dims=state.dims, values={v: _entropy(state, 2.0, v) for v in subsets})
 
 
-def _abc(state: DensityMatrix, name: str):
+def _abc(state: DensityMatrix):
     """(dA, dB, C's sites, (dA dB + 1 - dA - dB)/(dA dB)) of dim-ssa's A|B|C grouping."""
-    _require_applicable(name, state.dims, rule="dim-ssa")
     da, db = state.dims[0], state.dims[1]
     return da, db, tuple(range(2, state.n_sites)), (da * db + 1 - da - db) / (da * db)
+
+
+def _dim_ssa(state: DensityMatrix) -> tuple:
+    """(slack, lhs, rhs, constant) of dim-ssa on a state of three or more sites."""
+    da, db, c_sites, const = _abc(state)
+    P = _purities(state)
+    lhs = (1.0 - P[(0, 1) + c_sites]) + (1.0 - P[c_sites]) / (da * db)
+    rhs = (1.0 - P[(0,) + c_sites]) / db + (1.0 - P[(1,) + c_sites]) / da + const
+    return rhs - lhs, lhs, rhs, const
 
 
 def check_dim_ssa(state: DensityMatrix) -> InequalityReport:
@@ -97,11 +108,8 @@ def check_dim_ssa(state: DensityMatrix) -> InequalityReport:
     S(ABC) + S(C)/(dA dB) <= S(AC)/dB + S(BC)/dA + (dA dB + 1 - dA - dB)/(dA dB)
     with A = site 1, B = site 2, C = the rest.  Tight at maximal mixedness.
     """
-    da, db, c_sites, const = _abc(state, "dim-ssa")
-    P = _purities(state)
-    lhs = (1.0 - P[(0, 1) + c_sites]) + (1.0 - P[c_sites]) / (da * db)
-    rhs = (1.0 - P[(0,) + c_sites]) / db + (1.0 - P[(1,) + c_sites]) / da + const
-    return report_from_sides("dim-ssa", lhs, rhs, extras={"constant": const})
+    _require_applicable("dim-ssa", state.dims)
+    return _report("dim-ssa", _dim_ssa(state), "constant")
 
 
 def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
@@ -111,7 +119,8 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     exceeds the constant (dA dB + 1 - dA - dB)/(dA dB); the report's slack
     is that margin (negative means padded subadditivity wins there).
     """
-    da, db, c_sites, const = _abc(state, "dim-ssa-vs-subadd")
+    _require_applicable("dim-ssa-vs-subadd", state.dims, rule="dim-ssa")
+    da, db, c_sites, const = _abc(state)
     P = _purities(state)
     comparison = ((1.0 - 1.0 / db) * (1.0 - P[(0,) + c_sites]) + (1.0 - P[(1,)])
                   - (1.0 - P[(1,) + c_sites]) / da + (1.0 - P[c_sites]) / (da * db))
@@ -119,13 +128,17 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
                              extras={"comparison": comparison, "constant": const})
 
 
+def _subadd(state: DensityMatrix, q: float = 2.0) -> tuple:
+    """(slack, lhs, rhs, q) of subadd at a checked q on a state of two or more sites."""
+    rest = tuple(range(1, state.n_sites))
+    lhs, rhs = _entropy(state, q), _entropy(state, q, (0,)) + _entropy(state, q, rest)
+    return rhs - lhs, lhs, rhs, q
+
+
 def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityReport:
     """S_q(A) + S_q(B) >= S_q(AB) for q >= 1, with A = site 1, B = the rest."""
     _require_applicable("subadd", state.dims)
-    q = _check_real("q", q, least=1.0)
-    rest = tuple(range(1, state.n_sites))
-    lhs, rhs = _entropy(state, q), _entropy(state, q, (0,)) + _entropy(state, q, rest)
-    return report_from_sides("subadd", lhs, rhs, extras={"q": q})
+    return _report("subadd", _subadd(state, _check_real("q", q, least=1.0)), "q")
 
 
 def _genpseudo_floor(s_ab, m: int):
@@ -138,6 +151,15 @@ def _genpseudo_side(s_a, s_b):
     return s_a + s_b - s_a * s_b
 
 
+def _gen_pseudo(state: DensityMatrix) -> tuple:
+    """(slack, lhs, rhs, s_ab, s_a, s_b) of gen-pseudo on a state of two or more sites."""
+    P = _purities(state)
+    n = state.n_sites
+    s_ab, s_a, s_b = 1.0 - P[tuple(range(n))], 1.0 - P[(0,)], 1.0 - P[tuple(range(1, n))]
+    lhs, rhs = _genpseudo_floor(s_ab, state.dim), _genpseudo_side(s_a, s_b)
+    return rhs - lhs, lhs, rhs, s_ab, s_a, s_b
+
+
 def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     """Correlated lower bound on S(A) + S(B) - S(A) S(B) from S(AB).
 
@@ -145,12 +167,7 @@ def check_gen_pseudo_additivity(state: DensityMatrix) -> InequalityReport:
     tight at maximal mixedness; A = site 1, B = the rest.
     """
     _require_applicable("gen-pseudo", state.dims)
-    P = _purities(state)
-    n = state.n_sites
-    s_ab, s_a, s_b = 1.0 - P[tuple(range(n))], 1.0 - P[(0,)], 1.0 - P[tuple(range(1, n))]
-    return report_from_sides("gen-pseudo", _genpseudo_floor(s_ab, state.dim),
-                             _genpseudo_side(s_a, s_b),
-                             extras={"s_ab": s_ab, "s_a": s_a, "s_b": s_b})
+    return _report("gen-pseudo", _gen_pseudo(state), "s_ab", "s_a", "s_b")
 
 
 def pseudo_additivity_residual(state_a: DensityMatrix, state_b: DensityMatrix, q: float) -> float:

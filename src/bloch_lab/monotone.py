@@ -41,7 +41,7 @@ from math import prod
 import numpy as np
 
 from .errors import NotPureError
-from .reports import InequalityReport, _require_applicable, report_from_sides
+from .reports import InequalityReport, _report, _require_applicable
 from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
                      _marginal, _purities, derive_seed)
 
@@ -184,16 +184,6 @@ class _SplitObjective:
     def compressed_purity(self, P: np.ndarray) -> float:
         """Tr(((1xP) rho (1xP))^2), the first term of Q(P)."""
         return float(np.einsum("abmn,np,bapq,qm->", self.R4, P, self.R4, P).real)
-
-    def value(self, P: np.ndarray) -> float:
-        """Q(P) for one projector, straight from its definition (the tests' reference)."""
-        R4, rho_B, c = self.R4, self.rho_B, self.c
-        N = np.einsum("abmn,nm->ab", R4, P)
-        t2 = np.einsum("ab,ba->", N, N).real
-        BP = rho_B @ P
-        t3 = np.trace(BP @ BP).real
-        t4 = np.trace(BP).real ** 2
-        return float(c * c * self.compressed_purity(P) - c * t2 - c * t3 + t4)
 
     def gradient(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Phi, Q(P), P) with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
@@ -385,10 +375,13 @@ def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None
 # ---------------------------------------------------------------------------
 # inequality checks
 #
-# Each check is a formula over the state's purity table: it resolves g for
-# its module-constant pairs, and reads each closed pair's raw mass from the
-# table (``_pair_value``).  Only a split pair goes through
-# correlation_monotone and its optimizer.
+# Each check is a private formula over the state's purity table, which
+# returns (slack, lhs, rhs, *named values) and runs no input rule: it
+# resolves g for its module-constant pairs, and reads each closed pair's raw
+# mass from the table (``_pair_value``).  Only a split pair goes through
+# correlation_monotone and its optimizer.  Campaigns call the formula and
+# read its slack; the public check applies the input rules and builds its
+# report from the same tuple (``reports._report``).
 
 # (omega, sigma, their sorted union) of each pair a check reads
 _A_B, _A_E, _B_E = ((0,), (1,), (0, 1)), ((0,), (2,), (0, 2)), ((1,), (2,), (1, 2))
@@ -409,9 +402,8 @@ def _pair_value(state: DensityMatrix, P, pair, d_om: int, d_sg: int, g: float,
     return correlation_monotone(state, (omega, sigma), config=config).value
 
 
-def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
-    """Monogamy of the monotone: T(A|E) + T(B|E) <= (g_ABE/min(g_AE, g_BE)) T(AB|E)."""
-    _require_applicable("thm1i", state.dims)
+def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple:
+    """(slack, lhs, rhs, t_ae, t_be, t_abe, coefficient) of thm1i on a (d, d, d_E) state."""
     d, _, d_e = state.dims
     # A|E and B|E have the same dimensions, so g_AE = g_BE
     g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
@@ -420,8 +412,14 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) ->
     t_be = _pair_value(state, P, _B_E, d, d_e, g_e, config)
     t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g_abe)
     coeff = g_abe / g_e
-    return report_from_sides("thm1i", t_ae + t_be, coeff * t_abe,
-                             extras={"t_ae": t_ae, "t_be": t_be, "t_abe": t_abe, "coefficient": coeff})
+    lhs, rhs = t_ae + t_be, coeff * t_abe
+    return rhs - lhs, lhs, rhs, t_ae, t_be, t_abe, coeff
+
+
+def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
+    """Monogamy of the monotone: T(A|E) + T(B|E) <= (g_ABE/min(g_AE, g_BE)) T(AB|E)."""
+    _require_applicable("thm1i", state.dims)
+    return _report("thm1i", _thm1i(state, config), "t_ae", "t_be", "t_abe", "coefficient")
 
 
 def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
@@ -441,15 +439,20 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     return _eve_bound(state_ab.dims[0], d_e, _purities(state_ab)[(0, 1)])
 
 
-def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
-    """T(AB|E) cannot exceed the bound computed from the AB marginal."""
-    _require_applicable("thm1ii", state.dims)
+def _thm1ii(state: DensityMatrix) -> tuple:
+    """(slack, lhs, rhs, t_abe, g) of thm1ii on a (d, d, d_E) state."""
     d, _, d_e = state.dims
     g = _SEPARABLE_BOUND.resolve(d * d, d_e)
     P = _purities(state)
     t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g)
-    return report_from_sides("thm1ii", t_abe, _eve_bound(d, d_e, P[(0, 1)]),
-                             extras={"t_abe": t_abe, "g": g})
+    bound = _eve_bound(d, d_e, P[(0, 1)])
+    return bound - t_abe, t_abe, bound, t_abe, g
+
+
+def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
+    """T(AB|E) cannot exceed the bound computed from the AB marginal."""
+    _require_applicable("thm1ii", state.dims)
+    return _report("thm1ii", _thm1ii(state), "t_abe", "g")
 
 
 def excess(value: float, d: int) -> float:
@@ -457,16 +460,21 @@ def excess(value: float, d: int) -> float:
     return _check_count("dimension", d, 2) * (_check_real("value", value) - 1.0)
 
 
-def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
-    """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
-    _require_applicable("lemma5", state.dims)
+def _lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple:
+    """(slack, lhs, rhs, t_ab, t_a_be) of lemma5 on a three-site state."""
     d_a, d_b, d_e = state.dims
     g_ab, g_abe = _UNIT_RANGE.resolve(d_a, d_b), _SEPARABLE_BOUND.resolve(d_a, d_b * d_e)
     P = _purities(state)
     t_ab = _pair_value(state, P, _A_B, d_a, d_b, g_ab, config)
     t_abe = _pair_value(state, P, _A_BE, d_a, d_b * d_e, g_abe)
-    return report_from_sides("lemma5", (g_ab / g_abe) * t_ab, t_abe,
-                             extras={"t_ab": t_ab, "t_a_be": t_abe})
+    lhs = (g_ab / g_abe) * t_ab
+    return t_abe - lhs, lhs, t_abe, t_ab, t_abe
+
+
+def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> InequalityReport:
+    """Growth under extension: (g_AB/g_ABE) T(A|B) <= T(A|BE)."""
+    _require_applicable("lemma5", state.dims)
+    return _report("lemma5", _lemma5(state, config), "t_ab", "t_a_be")
 
 
 def _lemma6_bounds(d: int, d_e: int, g: float, t: float) -> tuple[float, float]:
@@ -487,16 +495,21 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     return _lemma6_bounds(d, d_e, _UNIT_RANGE.resolve(d, d), t)
 
 
-def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
-    """Sandwich ||T^A||^2 + ||T^B||^2 between the bounds set by T(A|B)."""
-    _require_applicable("lemma6", state_ab.dims)
+def _lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> tuple:
+    """(slack, lower, upper, local_mass, t, d_e) of lemma6 on a d x d state; d_e defaults to d^2."""
     d = state_ab.dims[0]
-    d_e = d * d if d_e is None else _check_count("environment dimension", d_e)
+    d_e = d * d if d_e is None else d_e
     g = _UNIT_RANGE.resolve(d, d)
     P = _purities(state_ab)
     # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
     local = d * (P[(0,)] + P[(1,)]) - 2.0
     t = _pair_value(state_ab, P, _A_B, d, d, g)
     lower, upper = _lemma6_bounds(d, d_e, g, min(max(t, 0.0), 1.0))
-    return report_from_sides("lemma6", lower, upper, slack=min(local - lower, upper - local),
-                             extras={"local_mass": local, "t": t, "d_e": d_e})
+    return min(local - lower, upper - local), lower, upper, local, t, d_e
+
+
+def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:
+    """Sandwich ||T^A||^2 + ||T^B||^2 between the bounds set by T(A|B)."""
+    _require_applicable("lemma6", state_ab.dims)
+    d_e = None if d_e is None else _check_count("environment dimension", d_e)
+    return _report("lemma6", _lemma6(state_ab, d_e), "local_mass", "t", "d_e")

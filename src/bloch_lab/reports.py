@@ -54,3 +54,9 @@ def report_from_sides(name: str, lhs: float, rhs: float, *, slack: float | None 
         holds=bool(slack >= -SLACK_TOL),
         extras=extras or {},
     )
+
+
+def _report(name: str, values: tuple, *names: str) -> InequalityReport:
+    """The report of a check's formula values (slack, lhs, rhs, *named), its extras keyed by ``names``."""
+    slack, lhs, rhs, *named = values
+    return report_from_sides(name, lhs, rhs, slack=slack, extras=dict(zip(names, named)))

@@ -406,7 +406,11 @@ def random_state(dims, spec: EnsembleSpec, index: int = 0) -> DensityMatrix:
     Every draw is a density matrix by construction (G G^H / Tr G G^H, or
     |v><v| for a unit v), so it is wrapped without re-validation.
     """
-    dims = _check_dims(dims)
+    return _draw(_check_dims(dims), spec, index)
+
+
+def _draw(dims: tuple[int, ...], spec: EnsembleSpec, index: int) -> DensityMatrix:
+    """random_state on dims that ``_check_dims`` already returned (a campaign checks them once)."""
     kind = spec.canonical_kind()
     if kind != "product-of":
         return DensityMatrix(dims, _draw_matrix(_rng(spec.seed, index), prod(dims),

@@ -2,8 +2,15 @@
 
 A campaign samples a deterministic ensemble on sites of dimension >= 2 and
 evaluates every check whose shape rule (``reports._APPLIES``) admits its dims.
+Each check is one formula over the sample's purity table (``_CHECKS``), which
+returns (slack, lhs, rhs, *named values); the campaign reads the slack and
+builds no report.  The campaign's input rules, the shape rules and the
+options a formula takes are applied once per campaign, not per sample, and
+samples are drawn through the private ``states._draw`` on the checked dims.
+The public checks apply the same rules and report the same formulas, so
+``bloch-lab check`` prints, for any sample, the slack the campaign saw.
 Slack below -1e-9 counts as a violation; below -1e-6 the sample becomes a
-counterexample candidate, is re-evaluated by the same check with fsum
+counterexample candidate, is re-evaluated by the same formula with fsum
 reductions, and, if confirmed, is dumped to ce_<hash>.json for inspection.
 
 Samples are evaluated one after another in index order, and each draw
@@ -25,24 +32,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import (check_dim_ssa, check_gen_pseudo_additivity, check_subadditivity)
+from .entropy import (_dim_ssa, _gen_pseudo, _subadd, check_dim_ssa, check_gen_pseudo_additivity,
+                      check_subadditivity)
 from .io import state_to_jsonable
-from .monotone import (OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
-                       check_thm1_ii)
+from .monotone import (OptimizerConfig, _lemma5, _lemma6, _thm1i, _thm1ii, check_lemma5, check_lemma6,
+                       check_thm1_i, check_thm1_ii)
 from .reports import _APPLIES, CANDIDATE_TOL, SLACK_TOL, _require_applicable
-from .states import (DensityMatrix, EnsembleSpec, _check_count, _check_dims, _fsum_purities,
-                     random_state)
+from .states import (DensityMatrix, EnsembleSpec, _check_count, _check_dims, _draw, _fsum_purities,
+                     _shown, random_state)
 
-# name -> (check, keyword options it takes), in campaign order; the shapes
-# each check applies to are reports._APPLIES
+# name -> (public check, its formula, keyword options both take), in campaign
+# order.  The formula, callable(state, **options) -> (slack, lhs, rhs, *named
+# values), reads the purity table and runs no input rule: campaigns, precise
+# re-checks and refinement call it and read the slack, and the public check
+# applies the input rules and builds its report from the same tuple.  The
+# shapes each check applies to are reports._APPLIES.
 _CHECKS = {
-    "thm1i": (check_thm1_i, ("config",)),
-    "thm1ii": (check_thm1_ii, ()),
-    "lemma5": (check_lemma5, ("config",)),
-    "lemma6": (check_lemma6, ("d_e",)),
-    "dim-ssa": (check_dim_ssa, ()),
-    "subadd": (check_subadditivity, ("q",)),
-    "gen-pseudo": (check_gen_pseudo_additivity, ()),
+    "thm1i": (check_thm1_i, _thm1i, ("config",)),
+    "thm1ii": (check_thm1_ii, _thm1ii, ()),
+    "lemma5": (check_lemma5, _lemma5, ("config",)),
+    "lemma6": (check_lemma6, _lemma6, ("d_e",)),
+    "dim-ssa": (check_dim_ssa, _dim_ssa, ()),
+    "subadd": (check_subadditivity, _subadd, ("q",)),
+    "gen-pseudo": (check_gen_pseudo_additivity, _gen_pseudo, ()),
 }
 CHECK_ORDER = tuple(_CHECKS)
 CONTROL_TRIP_FRACTION = 0.9
@@ -56,27 +68,28 @@ def applicable_inequalities(dims) -> tuple[str, ...]:
     return tuple(name for name in CHECK_ORDER if _APPLIES[name](dims))
 
 
-def _check_for(name: str, dims, **options):
-    """callable(state) -> InequalityReport of one check applicable to dims.
+def _check_for(name: str, dims, **options) -> tuple:
+    """(public check, formula) of one check applicable to dims, each callable(state).
 
-    Of ``options`` it binds only those the check takes and that are not None;
-    a check that takes none is returned as the plain function.
+    The check returns an InequalityReport and the formula (slack, lhs, rhs,
+    *named values).  Of ``options`` both bind only those the check takes and
+    that are not None; one that binds none is returned as the plain function.
     """
     if name not in _CHECKS:
         raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
     _require_applicable(name, dims)
-    check, takes = _CHECKS[name]
+    *pair, takes = _CHECKS[name]
     bound = {key: options[key] for key in takes if options.get(key) is not None}
-    return partial(check, **bound) if bound else check
+    return tuple(partial(f, **bound) if bound else f for f in pair)
 
 
 def _campaign_check(name: str, dims, restarts: int):
-    """``_check_for`` with the optimizer a campaign of ``restarts`` restarts uses."""
-    return _check_for(name, dims, config=OptimizerConfig(restarts=restarts))
+    """The formula of ``name`` with the optimizer a campaign of ``restarts`` restarts uses."""
+    return _check_for(name, dims, config=OptimizerConfig(restarts=restarts))[1]
 
 
 def make_check_table(dims, restarts: int = CAMPAIGN_RESTARTS):
-    """name -> callable(state) -> InequalityReport, for the checks applicable to dims."""
+    """name -> formula callable(state) -> (slack, lhs, rhs, *named), for the checks applicable to dims."""
     return {name: _campaign_check(name, dims, restarts) for name in applicable_inequalities(dims)}
 
 
@@ -85,7 +98,8 @@ class Campaign:
     """One verification run: ensemble, sample count, and checks to apply.
 
     ``dims`` (each >= 2: a site of dimension 1 gives no evidence), ``samples``
-    and ``restarts`` are stored as ints; a bool or float is rejected.
+    and ``restarts`` are stored as ints; a bool or float is rejected.  ``negate``
+    must be a bool: a string or a number is rejected, not read as true.
 
     Campaigns run serially.  ``threads`` is kept only so that callers which
     pass ``threads=1`` keep working: it accepts None or 1, and nothing reads it.
@@ -104,6 +118,8 @@ class Campaign:
         object.__setattr__(self, "dims", _check_dims(self.dims, 2))
         for name in ("samples", "restarts"):
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
+        if not isinstance(self.negate, bool):
+            raise ValueError(f"invalid negate {_shown(self.negate)}: need a bool")
         if self.threads is not None and _check_count("threads", self.threads) != 1:
             raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
                              "so only None or 1 is accepted")
@@ -192,17 +208,17 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     seconds = dict.fromkeys(checks, 0.0)
     ce_files: dict[str, list[str]] = {name: [] for name in checks}
     for i in range(campaign.samples):
-        state = random_state(campaign.dims, campaign.ensemble, index=i)
+        state = _draw(campaign.dims, campaign.ensemble, i)
         for name in checks:
             start = time.perf_counter()
-            slack = table[name](state).slack
+            slack = table[name](state)[0]
             seconds[name] += time.perf_counter() - start
             if campaign.negate:
                 slack = -slack
             elif slack < -CANDIDATE_TOL:
                 # re-checked at once, while this sample's split solves are memoized
                 with _fsum_purities():
-                    precise = table[name](state).slack
+                    precise = table[name](state)[0]
                 if precise < -CANDIDATE_TOL:
                     ce_files[name].append(_dump_counterexample(campaign, name, i, state,
                                                                slack, precise))
@@ -242,7 +258,7 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 #
 # Every closed-form check (and the equal-dimension or composite monotone) is
 # a formula over marginal purities Tr(rho_v^2).  The re-check runs the very
-# same checks with each purity's sum of squares reduced by math.fsum, so a
+# same formulas with each purity's sum of squares reduced by math.fsum, so a
 # candidate cannot be an artifact of naive accumulation order.  The precise
 # purities are tabled on the state apart from the standard ones, and both
 # tables trace the same marginals as partial_trace, from one cached trace
@@ -253,9 +269,9 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:
     """Recompute a check's slack with fsum-reduced marginal purities."""
-    check = _campaign_check(name, state.dims, restarts)
+    formula = _campaign_check(name, state.dims, restarts)
     with _fsum_purities():
-        return check(state).slack
+        return formula(state)[0]
 
 
 def _dump_counterexample(campaign: Campaign, name: str, index: int,
@@ -298,10 +314,10 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
     of proposals fails to decrease the slack.  Every reported value is a
     genuine evaluation of an explicit state, never an extrapolation.
     """
-    check = _campaign_check(name, state.dims, restarts)
+    formula = _campaign_check(name, state.dims, restarts)
     max_steps = _check_count("max_steps", max_steps, 0)
     cur = state
-    cur_slack = check(cur).slack
+    cur_slack = formula(cur)[0]
     initial = cur_slack
     accepted = 0
     eps = 0.25
@@ -317,7 +333,7 @@ def refine_minimum(name: str, state: DensityMatrix, seed: int = 0,
             draw += 1
             for direction in (sigma, mixed):
                 cand = DensityMatrix(cur.dims, (1.0 - eps) * cur.matrix + eps * direction)
-                s = check(cand).slack
+                s = formula(cand)[0]
                 if s < cur_slack:
                     cur, cur_slack = cand, s
                     accepted += 1

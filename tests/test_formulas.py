@@ -1,4 +1,5 @@
-"""Checks as formulas over the purity table: frozen values, pair values, and what a campaign skips."""
+"""Checks as formulas over the purity table: frozen values, the formulas against their
+public checks, pair values, and what a campaign skips."""
 
 from __future__ import annotations
 
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, check_lemma5, check_lemma6, check_thm1_i,
-                       check_thm1_ii, correlation_monotone, random_state, run_campaign)
-from bloch_lab import monotone, states
+from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, applicable_inequalities, check_lemma5,
+                       check_lemma6, check_thm1_i, check_thm1_ii, correlation_monotone, precise_slack,
+                       random_state, run_campaign)
+from bloch_lab import monotone, reports, states
 from bloch_lab.reports import _APPLIES
 from bloch_lab.states import _fsum_purities
-from bloch_lab.verify import CAMPAIGN_RESTARTS, make_check_table
+from bloch_lab.verify import CAMPAIGN_RESTARTS, _check_for, make_check_table
 
 FROZEN_FILE = Path(__file__).with_name("frozen_check_reprs.json")
 FROZEN_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2))
@@ -23,15 +25,21 @@ FROZEN_STATES = (("hilbert-schmidt", 0), ("hilbert-schmidt", 1), ("pure-haar", 0
 FROZEN_SEED = 7
 
 
+def public_checks(dims) -> dict:
+    """name -> the public check of every campaign check applicable to dims, with the campaign's optimizer."""
+    config = OptimizerConfig(restarts=CAMPAIGN_RESTARTS)
+    return {name: _check_for(name, dims, config=config)[0] for name in applicable_inequalities(dims)}
+
+
 def check_reprs() -> dict[str, dict[str, str]]:
     """'kind-index dims check mode' -> repr of lhs, rhs, slack and each extras value.
 
-    Every campaign check applicable to each frozen state, with the campaign's
-    restarts, once as is and once inside ``_fsum_purities``.
+    Every public campaign check applicable to each frozen state, with the
+    campaign's restarts, once as is and once inside ``_fsum_purities``.
     """
     rows = {}
     for dims in FROZEN_SHAPES:
-        table = make_check_table(dims, restarts=CAMPAIGN_RESTARTS)
+        table = public_checks(dims)
         for kind, index in FROZEN_STATES:
             state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
             for name, check in table.items():
@@ -51,6 +59,37 @@ def test_check_values_equal_the_frozen_table():
     # recorded before the closed checks became formulas over the purity reader
     frozen = json.loads(FROZEN_FILE.read_text())
     assert check_reprs() == frozen
+
+
+@pytest.mark.parametrize("precise", [False, True])
+def test_campaign_formulas_equal_the_public_checks(precise):
+    # the float a campaign reads, standard or in the precise re-check, is the
+    # slack the public check reports, repr for repr
+    for dims in FROZEN_SHAPES:
+        formulas, checks = make_check_table(dims, restarts=CAMPAIGN_RESTARTS), public_checks(dims)
+        assert tuple(formulas) == tuple(checks)
+        for kind, index in FROZEN_STATES:
+            state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
+            for name, formula in formulas.items():
+                with _fsum_purities() if precise else contextlib.nullcontext():
+                    got, want = formula(state)[0], checks[name](state).slack
+                assert type(got) is float and repr(got) == repr(want), (dims, kind, index, name)
+
+
+def test_campaign_and_precise_recheck_build_no_report(monkeypatch):
+    built = []
+    report = reports.InequalityReport
+    monkeypatch.setattr(reports, "InequalityReport",
+                        lambda *args, **kwargs: built.append(1) or report(*args, **kwargs))
+    # six checks apply to (2,2,2); the precise re-check of each reads its formula too
+    campaign = Campaign(dims=(2, 2, 2), samples=4)
+    stats = run_campaign(campaign).stats
+    for name, st in stats.items():
+        precise_slack(name, random_state(campaign.dims, campaign.ensemble, st.argmin_index))
+    assert len(stats) == 6 and built == []
+    # the spy does count a public check's report
+    check_thm1_ii(random_state((2, 2, 2), EnsembleSpec()))
+    assert built == [1]
 
 
 def test_closed_campaign_checks_no_partition_and_builds_no_monotone_result(monkeypatch):

@@ -84,6 +84,17 @@ def test_monotone_pure_exact_rejects_mixed():
 # split objective against sector norms (internal consistency oracle)
 
 
+def objective_value(obj: _SplitObjective, P: np.ndarray) -> float:
+    """Q(P) for one projector, straight from its definition: the reference for the K form."""
+    R4, rho_B, c = obj.R4, obj.rho_B, obj.c
+    N = np.einsum("abmn,nm->ab", R4, P)
+    t2 = np.einsum("ab,ba->", N, N).real
+    BP = rho_B @ P
+    t3 = np.trace(BP @ BP).real
+    t4 = np.trace(BP).real ** 2
+    return float(c * c * obj.compressed_purity(P) - c * t2 - c * t3 + t4)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_objective_equals_rotated_low_joint_mass(seed):
     st = hs_state((2, 4), seed=13, index=seed)
@@ -97,9 +108,9 @@ def test_objective_equals_rotated_low_joint_mass(seed):
     rotated = from_matrix(rot @ st.matrix @ rot.conj().T, (2, 4))
     sn = split_sector_norms(
         bloch_coefficients(rotated, bases_with_split((2, 4), 1, 2)))
-    assert obj.value(proj) == pytest.approx(sn.low_joint, abs=1e-12)
+    assert objective_value(obj, proj) == pytest.approx(sn.low_joint, abs=1e-12)
     phi, q0, _ = obj.gradient(u[None])
-    assert q0[0] == pytest.approx(obj.value(proj), abs=1e-12)
+    assert q0[0] == pytest.approx(objective_value(obj, proj), abs=1e-12)
     np.testing.assert_allclose(phi[0], phi[0].conj().T, atol=1e-12)
 
 
@@ -114,7 +125,7 @@ def test_objective_small_site_second():
     rotated = from_matrix(rot @ st.matrix @ rot.conj().T, (4, 2))
     sn = split_sector_norms(
         bloch_coefficients(rotated, bases_with_split((4, 2), 0, 2)))
-    assert obj.value(proj) == pytest.approx(sn.low_joint, abs=1e-12)
+    assert objective_value(obj, proj) == pytest.approx(sn.low_joint, abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 4), (3, 2), (4, 2)])

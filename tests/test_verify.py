@@ -68,11 +68,14 @@ def test_direct_call_follows_the_shape_rule(name, dims):
     ("dims", (2, 2.7), "site dimension 2.7"), ("dims", (2, True), "site dimension True"),
     ("dims", (1, 2), "site dimension 1"), ("dims", (2, 2, 1), "site dimension 1"),
     ("samples", True, "samples True"), ("samples", 3.0, "samples 3.0"),
-    ("restarts", True, "restarts True"), ("restarts", 2.5, "restarts 2.5")])
+    ("restarts", True, "restarts True"), ("restarts", 2.5, "restarts 2.5"),
+    ("negate", "no", "negate 'no'"), ("negate", 0.0, "negate 0.0"), ("negate", 1, "negate 1")])
 def test_campaign_rejects_what_it_cannot_run(field, value, message):
     # a float would be truncated and a bool read as 1, each reported as given;
-    # a site of dimension 1 gives no evidence (subadd holds with equality there)
-    with pytest.raises(ValueError, match=f"invalid {re.escape(message)}: need an integer"):
+    # a site of dimension 1 gives no evidence (subadd holds with equality there);
+    # a negate of "no" would run a negation control
+    need = "a bool" if field == "negate" else "an integer"
+    with pytest.raises(ValueError, match=f"invalid {re.escape(message)}: need {need}"):
         Campaign(**{"dims": (2, 2), field: value})
 
 
@@ -212,7 +215,7 @@ def test_precise_slack_matches_standard(name):
         table = make_check_table(dims, restarts=2)
         for i in range(5):
             s = random_state(dims, hs(1), index=i)
-            std = table[name](s).slack
+            std = table[name](s)[0]
             assert precise_slack(name, s, restarts=2) == pytest.approx(std, abs=1e-10), (dims, i)
 
 
@@ -258,14 +261,13 @@ def test_counterexample_dump_layout(tmp_path):
 
 
 def test_candidates_are_rechecked_and_dumped_in_index_order(tmp_path, monkeypatch, capsys):
-    # a check whose slack is -1e-3 on every state: each sample is a violation
+    # a formula whose slack is -1e-3 on every state: each sample is a violation
     # and a candidate, the precise re-check confirms it, and it is dumped
     from bloch_lab import verify
     from bloch_lab.cli import main
-    from bloch_lab.reports import report_from_sides
 
     monkeypatch.setitem(verify._CHECKS, "subadd",
-                        (lambda state: report_from_sides("subadd", 1e-3, 0.0), ()))
+                        (check_subadditivity, lambda state: (-1e-3, 1e-3, 0.0), ()))
     c = Campaign(dims=(2, 2), ensemble=hs(3), inequalities=("subadd",), samples=4,
                  out_dir=str(tmp_path / "lib"))
     st = run_campaign(c).stats["subadd"]
