@@ -11,7 +11,7 @@ C = everything else; the bipartite checks use A = site 1 versus the rest.
 Every entropy of the state or a marginal comes from ``_entropy``: at q = 2
 from the memoized marginal-purity table in states.py, and otherwise from its
 spectrum.  dim-ssa and gen-pseudo are linear entropies only, so they read
-that table (``states._purities``) as formulas over marginal purities.
+that table (``state._marginal_purities``) as formulas over marginal purities.
 Each campaign check is a private formula (``_dim_ssa``, ``_subadd``,
 ``_gen_pseudo``) that returns (slack, lhs, rhs, *named values) and runs no
 input rule; its public check applies the rules and reports that tuple.
@@ -26,8 +26,7 @@ from math import prod
 import numpy as np
 
 from .reports import InequalityReport, _report, _require_applicable, report_from_sides
-from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum,
-                     _purities, tensor)
+from .states import DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum, tensor
 
 RANGE_TOL = 1e-12
 
@@ -45,7 +44,7 @@ def _entropy(state: DensityMatrix, q: float, keep: tuple[int, ...] | None = None
     # "+ 0.0" turns the -0.0 that negating or dividing an exact 0 can give into 0.0,
     # and leaves every other value as it is
     if q == 2.0:
-        p = _purities(state)[keep]
+        p = state._marginal_purities[keep]
         return float(np.log2(p) / (1.0 - q)) + 0.0 if renyi else 1.0 - p
     w = _marginal_spectrum(state, keep)
     if q == 1.0:
@@ -96,7 +95,7 @@ def _abc(state: DensityMatrix):
 def _dim_ssa(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, constant) of dim-ssa on a state of three or more sites."""
     da, db, c_sites, const = _abc(state)
-    P = _purities(state)
+    P = state._marginal_purities
     lhs = (1.0 - P[(0, 1) + c_sites]) + (1.0 - P[c_sites]) / (da * db)
     rhs = (1.0 - P[(0,) + c_sites]) / db + (1.0 - P[(1,) + c_sites]) / da + const
     return rhs - lhs, lhs, rhs, const
@@ -121,7 +120,7 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     """
     _require_applicable("dim-ssa-vs-subadd", state.dims, rule="dim-ssa")
     da, db, c_sites, const = _abc(state)
-    P = _purities(state)
+    P = state._marginal_purities
     comparison = ((1.0 - 1.0 / db) * (1.0 - P[(0,) + c_sites]) + (1.0 - P[(1,)])
                   - (1.0 - P[(1,) + c_sites]) / da + (1.0 - P[c_sites]) / (da * db))
     return report_from_sides("dim-ssa-vs-subadd", const, comparison,
@@ -153,7 +152,7 @@ def _genpseudo_side(s_a, s_b):
 
 def _gen_pseudo(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, s_ab, s_a, s_b) of gen-pseudo on a state of two or more sites."""
-    P = _purities(state)
+    P = state._marginal_purities
     n = state.n_sites
     s_ab, s_a, s_b = 1.0 - P[tuple(range(n))], 1.0 - P[(0,)], 1.0 - P[tuple(range(1, n))]
     lhs, rhs = _genpseudo_floor(s_ab, state.dim), _genpseudo_side(s_a, s_b)

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import NotPureError
 from .reports import InequalityReport, _report, _require_applicable
 from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
-                     _marginal, _purities, derive_seed)
+                     _marginal, derive_seed)
 
 # split solves kept by _solve_split: the most that one check makes on one
 # sample (thm1i on (2,2,3)), so a re-check of that sample right after it
@@ -305,7 +305,7 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     d_sg = prod(state.dims[s] for s in sigma)
     g = (policy or default_policy(omega, sigma)).resolve(d_om, d_sg)
     considered = tuple(sorted(omega + sigma))
-    P = _purities(state)
+    P = state._marginal_purities
 
     if _is_closed(omega, sigma, d_om, d_sg):
         raw = _closed_raw(d_om, d_sg, P[considered], P[omega], P[sigma])
@@ -339,8 +339,9 @@ def _solve_split(matrix: bytes, d_small: int, d_large: int, small_first: bool,
 
     The solve is deterministic in its arguments: the bytes of the traced
     two-site marginal, the two dimensions, the site order and the
-    frozen config.  It reads no marginal purities, so the fsum re-check
-    gets the same answer, and a campaign's precise re-check of a sample
+    frozen config.  It reads no marginal purities, and a precise twin
+    (``states._precise``) shares its state's matrix, so the twin's traced
+    marginal has the same bytes: a campaign's precise re-check of a sample
     hits the memo instead of re-running the optimizer.  The cached U is
     read-only.
     """
@@ -407,7 +408,7 @@ def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple
     d, _, d_e = state.dims
     # A|E and B|E have the same dimensions, so g_AE = g_BE
     g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
-    P = _purities(state)
+    P = state._marginal_purities
     t_ae = _pair_value(state, P, _A_E, d, d_e, g_e, config)
     t_be = _pair_value(state, P, _B_E, d, d_e, g_e, config)
     t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g_abe)
@@ -436,14 +437,14 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
     if state_ab.n_sites != 2 or state_ab.dims[0] != state_ab.dims[1]:
         raise ValueError(f"unsupported shape for eve bound: need two equal sites, got {state_ab.dims}")
     d_e = _check_count("environment dimension", d_e, 2)
-    return _eve_bound(state_ab.dims[0], d_e, _purities(state_ab)[(0, 1)])
+    return _eve_bound(state_ab.dims[0], d_e, state_ab._marginal_purities[(0, 1)])
 
 
 def _thm1ii(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, t_abe, g) of thm1ii on a (d, d, d_E) state."""
     d, _, d_e = state.dims
     g = _SEPARABLE_BOUND.resolve(d * d, d_e)
-    P = _purities(state)
+    P = state._marginal_purities
     t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g)
     bound = _eve_bound(d, d_e, P[(0, 1)])
     return bound - t_abe, t_abe, bound, t_abe, g
@@ -464,7 +465,7 @@ def _lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> tupl
     """(slack, lhs, rhs, t_ab, t_a_be) of lemma5 on a three-site state."""
     d_a, d_b, d_e = state.dims
     g_ab, g_abe = _UNIT_RANGE.resolve(d_a, d_b), _SEPARABLE_BOUND.resolve(d_a, d_b * d_e)
-    P = _purities(state)
+    P = state._marginal_purities
     t_ab = _pair_value(state, P, _A_B, d_a, d_b, g_ab, config)
     t_abe = _pair_value(state, P, _A_BE, d_a, d_b * d_e, g_abe)
     lhs = (g_ab / g_abe) * t_ab
@@ -500,7 +501,7 @@ def _lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> tuple:
     d = state_ab.dims[0]
     d_e = d * d if d_e is None else d_e
     g = _UNIT_RANGE.resolve(d, d)
-    P = _purities(state_ab)
+    P = state_ab._marginal_purities
     # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
     local = d * (P[(0,)] + P[(1,)]) - 2.0
     t = _pair_value(state_ab, P, _A_B, d, d, g)

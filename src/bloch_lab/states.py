@@ -18,16 +18,16 @@ and seed is checked where it enters by ``_check_count`` (a tuple by
 ``_marginal`` traces through a cached plan (``_trace_plan``, which checks its
 subset once), and ``partial_trace``, the purity table, the split monotone and
 the entropies' one eigenvalue rule, ``_marginal_spectrum``, all read it.  It
-owns the purity table: every Tr(rho_v^2) is read through the state's
-``_PurityTable`` (``_purities``, or ``_marginal_purity`` for a subset in any
-order) and memoized on the state, the numpy-reduced and the precise
-(fsum-reduced) values each in their own table.
+owns the purity table: every Tr(rho_v^2) is read from the state's one
+``_PurityTable``, ``state._marginal_purities``, and memoized there.  The
+precise re-check runs the same formulas on ``_precise(state)``, a twin that
+shares the state's dims and matrix and whose own table reduces with
+math.fsum.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import fsum, inf, nan, prod
@@ -53,10 +53,9 @@ class DensityMatrix:
 
     dims: tuple[int, ...]
     matrix: np.ndarray
-    # Tr(rho_v^2) per sorted site subset v (_PurityTable); the fsum-reduced
-    # values read inside _fsum_purities have their own table
+    # Tr(rho_v^2) per sorted site subset v, the one table formulas read;
+    # numpy-reduced, or fsum-reduced on a twin from _precise
     _marginal_purities: _PurityTable = field(init=False, repr=False, compare=False)
-    _precise_purities: _PurityTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dims = _check_dims(self.dims)
@@ -64,7 +63,6 @@ class DensityMatrix:
         m.setflags(write=False)
         self.matrix = m
         self._marginal_purities = _PurityTable(self.dims, m, False)
-        self._precise_purities = _PurityTable(self.dims, m, True)
 
     @property
     def dim(self) -> int:
@@ -76,7 +74,7 @@ class DensityMatrix:
 
     def purity(self) -> float:
         """Tr(rho^2): the all-sites entry of the purity table."""
-        return _marginal_purity(self, range(self.n_sites))
+        return self._marginal_purities[tuple(range(self.n_sites))]
 
     def is_pure(self) -> bool:
         return _is_pure(self.purity())
@@ -244,19 +242,6 @@ def partial_trace(state: DensityMatrix, keep) -> DensityMatrix:
     return state if m is state.matrix else DensityMatrix(tuple(state.dims[i] for i in keep), m)
 
 
-_FSUM = ContextVar("fsum_purities", default=False)
-
-
-@contextmanager
-def _fsum_purities():
-    """Reduce every marginal purity read inside the block with math.fsum."""
-    token = _FSUM.set(True)
-    try:
-        yield
-    finally:
-        _FSUM.reset(token)
-
-
 class _PurityTable(dict):
     """Tr(rho_v^2) of one state's marginals, keyed by sorted site tuple v.
 
@@ -264,10 +249,11 @@ class _PurityTable(dict):
     marginal with the cached ``_trace_plan`` that ``partial_trace`` uses, so
     it is the same bit for bit, and tables its purity.  The table holds the
     state's ``dims`` and ``matrix``, which is all ``_marginal`` reads of a
-    state, and not the state itself, so a state and its tables form no
-    reference cycle.  The standard table reduces each marginal's squares
-    with one numpy reduction, the precise one with math.fsum: the reduction
-    is the only place where the standard and precise evaluations differ.
+    state, and not the state itself, so a state and its table form no
+    reference cycle.  A state's table reduces each marginal's squares with
+    one numpy reduction, its ``_precise`` twin's with math.fsum: the
+    reduction is the only place where the standard and precise evaluations
+    differ.
     """
 
     __slots__ = ("dims", "matrix", "precise")
@@ -285,18 +271,20 @@ class _PurityTable(dict):
         return value
 
 
-def _purities(state: DensityMatrix) -> _PurityTable:
-    """The state's purity table that formulas read: the precise one inside ``_fsum_purities``.
+def _precise(state: DensityMatrix) -> DensityMatrix:
+    """A twin of ``state`` whose purity table reduces with math.fsum: any formula run on it is
+    the precise re-check.
 
-    Every closed-form check is a formula over it, and each value is
-    memoized, so the checks of one sample share their marginals.
+    The twin shares the state's ``dims`` and read-only ``matrix`` (the same
+    objects), so its marginals, split-memo keys and spectra are the state's;
+    only its table, empty when built, is its own.  No read through the twin
+    writes the state's table.  It skips ``__post_init__``, whose checks the
+    state has passed.
     """
-    return state._precise_purities if _FSUM.get() else state._marginal_purities
-
-
-def _marginal_purity(state: DensityMatrix, keep) -> float:
-    """Tr(rho_v^2) of the marginal on the sites ``keep``, in any order (all sites: the state)."""
-    return _purities(state)[tuple(sorted(keep))]
+    twin = object.__new__(DensityMatrix)
+    twin.dims, twin.matrix = state.dims, state.matrix
+    twin._marginal_purities = _PurityTable(state.dims, state.matrix, True)
+    return twin
 
 
 def _marginal_spectrum(state: DensityMatrix, keep) -> np.ndarray:
@@ -367,9 +355,9 @@ class EnsembleSpec:
     factors: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        kind = self.canonical_kind()
+        kind = self.canonical_kind() if isinstance(self.kind, str) else None
         if kind not in KINDS:
-            raise ValueError(f"unknown ensemble kind {self.kind!r}; choose from {KINDS}")
+            raise ValueError(f"unknown ensemble kind {_shown(self.kind)}; choose from {KINDS}")
         object.__setattr__(self, "seed", _check_count("seed", self.seed, None))
         if kind == "induced" and self.rank_cap is None:
             raise ValueError("induced ensemble needs rank_cap (the ancilla dimension)")
@@ -379,11 +367,12 @@ class EnsembleSpec:
             object.__setattr__(self, "rank_cap", _check_count("rank cap", self.rank_cap))
         if kind != "product-of" and self.factors is not None:
             raise ValueError(f"factors apply only to the product-of ensemble, not {kind}")
-        if kind == "product-of" and not self.factors:
-            raise ValueError("product-of needs one factor kind per site")
+        if kind == "product-of" and not (isinstance(self.factors, Sequence) and self.factors):
+            raise ValueError(f"invalid factors {_shown(self.factors)}: "
+                             "product-of needs a sequence of one factor kind per site")
         for f in self.factors or ():
-            if _KIND_ALIASES.get(f, f) not in KINDS or f == "product-of":
-                raise ValueError(f"invalid product factor kind {f!r}")
+            if not isinstance(f, str) or _KIND_ALIASES.get(f, f) not in KINDS or f == "product-of":
+                raise ValueError(f"invalid product factor kind {_shown(f)}")
 
     def canonical_kind(self) -> str:
         return _KIND_ALIASES.get(self.kind, self.kind)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -38,8 +39,8 @@ from .io import state_to_jsonable
 from .monotone import (OptimizerConfig, _lemma5, _lemma6, _thm1i, _thm1ii, check_lemma5, check_lemma6,
                        check_thm1_i, check_thm1_ii)
 from .reports import _APPLIES, CANDIDATE_TOL, SLACK_TOL, _require_applicable
-from .states import (DensityMatrix, EnsembleSpec, _check_count, _check_dims, _draw, _fsum_purities,
-                     _shown, random_state)
+from .states import (DensityMatrix, EnsembleSpec, _check_count, _check_dims, _draw, _precise, _shown,
+                     random_state)
 
 # name -> (public check, its formula, keyword options both take), in campaign
 # order.  The formula, callable(state, **options) -> (slack, lhs, rhs, *named
@@ -75,8 +76,8 @@ def _check_for(name: str, dims, **options) -> tuple:
     *named values).  Of ``options`` both bind only those the check takes and
     that are not None; one that binds none is returned as the plain function.
     """
-    if name not in _CHECKS:
-        raise ValueError(f"unknown inequality {name!r}; choose from {CHECK_ORDER}")
+    if not isinstance(name, str) or name not in _CHECKS:
+        raise ValueError(f"unknown inequality {_shown(name)}; choose from {CHECK_ORDER}")
     _require_applicable(name, dims)
     *pair, takes = _CHECKS[name]
     bound = {key: options[key] for key in takes if options.get(key) is not None}
@@ -100,6 +101,8 @@ class Campaign:
     ``dims`` (each >= 2: a site of dimension 1 gives no evidence), ``samples``
     and ``restarts`` are stored as ints; a bool or float is rejected.  ``negate``
     must be a bool: a string or a number is rejected, not read as true.
+    ``ensemble`` must be an EnsembleSpec, and ``inequalities`` a sequence of
+    distinct check names that apply to dims, or ("all",) (``_resolve_checks``).
 
     Campaigns run serially.  ``threads`` is kept only so that callers which
     pass ``threads=1`` keep working: it accepts None or 1, and nothing reads it.
@@ -120,6 +123,9 @@ class Campaign:
             object.__setattr__(self, name, _check_count(name, getattr(self, name)))
         if not isinstance(self.negate, bool):
             raise ValueError(f"invalid negate {_shown(self.negate)}: need a bool")
+        if not isinstance(self.ensemble, EnsembleSpec):
+            raise ValueError(f"invalid ensemble {_shown(self.ensemble)}: need an EnsembleSpec")
+        _resolve_checks(self.inequalities, self.dims)
         if self.threads is not None and _check_count("threads", self.threads) != 1:
             raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
                              "so only None or 1 is accepted")
@@ -184,23 +190,28 @@ class CampaignReport:
         return out
 
 
-def _resolve_checks(campaign: Campaign) -> tuple[str, ...]:
-    names = campaign.inequalities
-    names = (names,) if isinstance(names, str) else tuple(names)  # one bare name is one check
+def _resolve_checks(names, dims: tuple[int, ...]) -> tuple[str, ...]:
+    """The checks a campaign on dims runs, in order; ValueError on a non-sequence, an unknown,
+    inapplicable or repeated name, or no check at all."""
+    if isinstance(names, str):
+        names = (names,)  # one bare name is one check
+    elif not isinstance(names, Sequence):
+        raise ValueError(f"invalid inequalities {_shown(names)}: need a sequence of check names")
+    names = tuple(names)
     if names == ("all",):
-        names = applicable_inequalities(campaign.dims)
+        names = applicable_inequalities(dims)
     else:
         for k, name in enumerate(names):
-            _check_for(name, campaign.dims)  # raises on an unknown or inapplicable name
+            _check_for(name, dims)  # raises on an unknown or inapplicable name
             if name in names[:k]:
                 raise ValueError(f"inequality {name!r} is listed more than once")
     if not names:  # a campaign without checks would pass without evidence
-        raise ValueError(f"no inequality selected that applies to dims {tuple(campaign.dims)}")
+        raise ValueError(f"no inequality selected that applies to dims {dims}")
     return names
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
-    checks = _resolve_checks(campaign)
+    checks = _resolve_checks(campaign.inequalities, campaign.dims)
     table = make_check_table(campaign.dims, restarts=campaign.restarts)
     t0 = time.perf_counter()
 
@@ -217,8 +228,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
                 slack = -slack
             elif slack < -CANDIDATE_TOL:
                 # re-checked at once, while this sample's split solves are memoized
-                with _fsum_purities():
-                    precise = table[name](state)[0]
+                precise = table[name](_precise(state))[0]
                 if precise < -CANDIDATE_TOL:
                     ce_files[name].append(_dump_counterexample(campaign, name, i, state,
                                                                slack, precise))
@@ -258,20 +268,19 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 #
 # Every closed-form check (and the equal-dimension or composite monotone) is
 # a formula over marginal purities Tr(rho_v^2).  The re-check runs the very
-# same formulas with each purity's sum of squares reduced by math.fsum, so a
-# candidate cannot be an artifact of naive accumulation order.  The precise
-# purities are tabled on the state apart from the standard ones, and both
-# tables trace the same marginals as partial_trace, from one cached trace
-# plan.  The split optimizer (thm1i and lemma5 between sites of unequal
-# dimension) reads no purities; its re-check returns the memoized standard
-# solve, and only its delta reads the precise purity.
+# same formulas on the state's precise twin (states._precise), which shares
+# the state's matrix and tables its own purities with each sum of squares
+# reduced by math.fsum, so a candidate cannot be an artifact of naive
+# accumulation order.  The twin traces the same marginals as partial_trace,
+# from one cached trace plan.  The split optimizer (thm1i and lemma5 between
+# sites of unequal dimension) reads no purities; the twin's marginal has the
+# state's bytes, so its re-check returns the memoized standard solve, and
+# only its delta reads the precise purity.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:
     """Recompute a check's slack with fsum-reduced marginal purities."""
-    formula = _campaign_check(name, state.dims, restarts)
-    with _fsum_purities():
-        return formula(state)[0]
+    return _campaign_check(name, state.dims, restarts)(_precise(state))[0]
 
 
 def _dump_counterexample(campaign: Campaign, name: str, index: int,

@@ -14,7 +14,7 @@ from bloch_lab import (DensityMatrix, EnsembleSpec, NumericError, all_subset_nor
                        max_entangled, maximally_mixed, partial_trace, pure, purity_from_tensor,
                        random_state, reconstruct, split_purity, split_sector_norms,
                        tensor, tensor_norm_sq)
-from bloch_lab.states import _fsum_purities, _marginal_purity
+from bloch_lab.states import _precise
 
 
 def hs_state(dims, seed, index=0):
@@ -67,11 +67,11 @@ def test_canonical_purity_identity(dims):
 def test_marginal_purity_table_memoizes_and_switches_to_fsum():
     s = hs_state((2, 2, 3), seed=37)
     marginal = partial_trace(s, (0, 2)).matrix
-    assert _marginal_purity(s, (2, 0)) == partial_trace(s, (0, 2)).purity()
+    assert s._marginal_purities[(0, 2)] == partial_trace(s, (0, 2)).purity()
     assert (0, 2) in s._marginal_purities
-    with _fsum_purities():
-        precise = _marginal_purity(s, (0, 2))
-        assert _marginal_purity(s, (1,)) == pytest.approx(partial_trace(s, (1,)).purity(), abs=1e-14)
+    twin = _precise(s)
+    precise = twin._marginal_purities[(0, 2)]
+    assert twin._marginal_purities[(1,)] == pytest.approx(partial_trace(s, (1,)).purity(), abs=1e-14)
     assert precise == math.fsum((np.abs(marginal.ravel()) ** 2).tolist())
     assert (1,) not in s._marginal_purities  # the precise table is never cached
 

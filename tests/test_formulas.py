@@ -3,7 +3,6 @@ public checks, pair values, and what a campaign skips."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -15,7 +14,7 @@ from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, applicable_inequ
                        random_state, run_campaign)
 from bloch_lab import monotone, reports, states
 from bloch_lab.reports import _APPLIES
-from bloch_lab.states import _fsum_purities
+from bloch_lab.states import _precise
 from bloch_lab.verify import CAMPAIGN_RESTARTS, _check_for, make_check_table
 
 FROZEN_FILE = Path(__file__).with_name("frozen_check_reprs.json")
@@ -35,7 +34,7 @@ def check_reprs() -> dict[str, dict[str, str]]:
     """'kind-index dims check mode' -> repr of lhs, rhs, slack and each extras value.
 
     Every public campaign check applicable to each frozen state, with the
-    campaign's restarts, once as is and once inside ``_fsum_purities``.
+    campaign's restarts, once on the state and once on its precise twin (``_precise``).
     """
     rows = {}
     for dims in FROZEN_SHAPES:
@@ -43,12 +42,8 @@ def check_reprs() -> dict[str, dict[str, str]]:
         for kind, index in FROZEN_STATES:
             state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
             for name, check in table.items():
-                for mode in ("standard", "precise"):
-                    if mode == "precise":
-                        with _fsum_purities():
-                            report = check(state)
-                    else:
-                        report = check(state)
+                for mode, view in (("standard", state), ("precise", _precise(state))):
+                    report = check(view)
                     values = {"lhs": report.lhs, "rhs": report.rhs, "slack": report.slack,
                               **report.extras}
                     rows[f"{kind}-{index} {dims} {name} {mode}"] = {k: repr(v) for k, v in values.items()}
@@ -71,8 +66,8 @@ def test_campaign_formulas_equal_the_public_checks(precise):
         for kind, index in FROZEN_STATES:
             state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
             for name, formula in formulas.items():
-                with _fsum_purities() if precise else contextlib.nullcontext():
-                    got, want = formula(state)[0], checks[name](state).slack
+                view = _precise(state) if precise else state
+                got, want = formula(view)[0], checks[name](view).slack
                 assert type(got) is float and repr(got) == repr(want), (dims, kind, index, name)
 
 
@@ -142,11 +137,11 @@ def test_check_pair_values_equal_the_monotone_bit_for_bit(dims, precise):
     options = {"config": OptimizerConfig(restarts=8)}
     for kind in ("hilbert-schmidt", "pure-haar"):
         state = random_state(dims, EnsembleSpec(kind, seed=11))
+        state = _precise(state) if precise else state
         for name in (name for name in PAIRS if _APPLIES[name](dims)):
             check, pairs = PAIRS[name]
-            with _fsum_purities() if precise else contextlib.nullcontext():
-                report = check(state, **options) if name in ("thm1i", "lemma5") else check(state)
-                want = {key: correlation_monotone(state, pair, **options).value
-                        for key, pair in pairs.items()}
+            report = check(state, **options) if name in ("thm1i", "lemma5") else check(state)
+            want = {key: correlation_monotone(state, pair, **options).value
+                    for key, pair in pairs.items()}
             assert {key: repr(report.extras[key]) for key in pairs} == {
                 key: repr(value) for key, value in want.items()}, (name, kind)

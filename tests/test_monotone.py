@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import re
@@ -20,7 +19,7 @@ from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_n
                                    split_sector_norms, tensor_norm_sq)
 from bloch_lab.monotone import (SHIFT_START, SPLIT_MEMO_SIZE, _haar_starts, _haar_unitary,
                                 _solve_split, _SplitObjective, default_policy)
-from bloch_lab.states import _fsum_purities, derive_seed
+from bloch_lab.states import _precise, derive_seed
 
 
 def hs_state(dims, seed, index=0):
@@ -370,10 +369,10 @@ def test_split_solve_on_traced_pair_equals_solve_on_its_partial_trace(dims):
     for pair in (hs_state(dims, seed=43), haar_pure(dims, seed=43)):
         s = tensor(hs_state((2,), seed=44), pair)
         for precise in (False, True):
-            with _fsum_purities() if precise else contextlib.nullcontext():
-                got = correlation_monotone(s, ((1,), (2,)))
-                _solve_split.cache_clear()
-                want = correlation_monotone(partial_trace(s, (1, 2)), ((0,), (1,)))
+            view = _precise if precise else (lambda state: state)
+            got = correlation_monotone(view(s), ((1,), (2,)))
+            _solve_split.cache_clear()
+            want = correlation_monotone(view(partial_trace(s, (1, 2))), ((0,), (1,)))
             for f in dataclasses.fields(MonotoneResult):
                 if f.name == "unitary":
                     assert got.unitary.tobytes() == want.unitary.tobytes()
@@ -572,8 +571,7 @@ def test_thm1_ii_bound_equals_eve_bound_of_marginal(dims):
     for i in range(3):
         s = hs_state(dims, seed=97, index=i)
         assert check_thm1_ii(s).rhs == eve_bound(partial_trace(s, (0, 1)), dims[2])
-        with _fsum_purities():
-            assert check_thm1_ii(s).rhs == eve_bound(partial_trace(s, (0, 1)), dims[2])
+        assert check_thm1_ii(_precise(s)).rhs == eve_bound(_precise(partial_trace(s, (0, 1))), dims[2])
 
 
 def test_eve_bound_on_maximally_mixed_pair():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bloch_lab import states
 from bloch_lab.cli import main
 from bloch_lab.correlation import default_bases
 from bloch_lab.io import state_from_jsonable, state_to_jsonable
-from bloch_lab.states import _fsum_purities, _marginal_purity
+from bloch_lab.states import _precise, _PurityTable
 from bloch_lab.verify import make_check_table
 
 
@@ -128,7 +129,7 @@ def test_site_subsets_share_one_rule(bad):
         with pytest.raises(ValueError, match="kept sites"):
             partial_trace(s, bad)
         with pytest.raises(ValueError, match="kept sites"):
-            _marginal_purity(s, bad)
+            s._marginal_purities[bad]
         with pytest.raises(ValueError, match="subset"):
             tensor_norm_sq(bloch_coefficients(s), bad)
     # both partition callers reject (bad, (1,)) with the same message
@@ -242,6 +243,17 @@ def test_hs_samples_are_valid_states(seed, index, factors, factor_cap):
             assert 1.0 / s.dim - 1e-12 <= s.purity() <= 1.0 + 1e-12, spec
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": ["hs"]}, "unknown ensemble kind ['hs']"),
+    ({"kind": "product-of", "factors": 5}, "invalid factors 5"),
+    ({"kind": "product-of", "factors": [["hs"]]}, "invalid product factor kind ['hs']")])
+def test_ensemble_spec_rejects_what_it_cannot_draw(spec, message):
+    # a kind or factor that is no string, or factors that are no sequence, is
+    # refused as a value when the spec is built
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EnsembleSpec(**spec)
+
+
 @pytest.mark.parametrize("kind,rank_cap", [("pure-haar", None), ("hilbert-schmidt", None),
                                            ("induced", 1)])
 def test_factors_need_product_of(kind, rank_cap):
@@ -253,8 +265,7 @@ def test_factors_need_product_of(kind, rank_cap):
 def test_purity_reads_the_purity_table():
     s = hs_state((2, 3), seed=29)
     squares = (np.abs(s.matrix.ravel()) ** 2).tolist()
-    with _fsum_purities():
-        assert s.purity() == math.fsum(squares)
+    assert _precise(s).purity() == math.fsum(squares)
     assert not s._marginal_purities  # the precise value is never cached
     assert s.purity() == float(np.vdot(s.matrix, s.matrix).real)
     assert s._marginal_purities == {(0, 1): s.purity()}
@@ -266,9 +277,8 @@ def test_purity_table_matches_partial_trace_bit_for_bit(dims):
     for r in range(1, len(dims)):
         for keep in itertools.combinations(range(len(dims)), r):
             m = partial_trace(s, keep).matrix
-            assert _marginal_purity(s, keep) == float(np.vdot(m, m).real)
-            with _fsum_purities():
-                assert _marginal_purity(s, keep) == math.fsum((np.abs(m.ravel()) ** 2).tolist())
+            assert s._marginal_purities[keep] == float(np.vdot(m, m).real)
+            assert _precise(s)._marginal_purities[keep] == math.fsum((np.abs(m.ravel()) ** 2).tolist())
 
 
 def test_precise_purities_are_tabled(monkeypatch):
@@ -276,12 +286,35 @@ def test_precise_purities_are_tabled(monkeypatch):
     plans = []
     plan = states._trace_plan
     monkeypatch.setattr(states, "_trace_plan", lambda *a: plans.append(a) or plan(*a))
-    with _fsum_purities():
-        first = _marginal_purity(s, (0, 2))
-        assert len(plans) == 1
-        assert _marginal_purity(s, (2, 0)) == first
-        assert len(plans) == 1  # the second read computes no marginal
+    precise = _precise(s)
+    first = precise._marginal_purities[(0, 2)]
+    assert len(plans) == 1
+    assert precise._marginal_purities[(0, 2)] == first
+    assert len(plans) == 1  # the second read computes no marginal
     assert not s._marginal_purities  # precise reads never write the standard table
+
+
+def test_precise_twin_shares_the_state_and_tables_fsum_values():
+    s = hs_state((2, 2, 3), seed=33)
+    twin = _precise(s)
+    assert twin.matrix is s.matrix and twin.dims is s.dims
+    # one table per state, and the twin's own starts empty
+    for state in (s, twin):
+        tables = [v for v in vars(state).values() if isinstance(v, _PurityTable)]
+        assert len(tables) == 1 and tables[0] is state._marginal_purities
+    assert twin._marginal_purities is not s._marginal_purities and not twin._marginal_purities
+    subsets = [keep for r in range(1, 4) for keep in itertools.combinations(range(3), r)]
+    differ = 0  # subsets whose numpy-reduced purity is not the fsum one (6 of 7 on this state)
+    for keep in subsets:
+        m = partial_trace(s, keep).matrix
+        assert twin._marginal_purities[keep] == math.fsum((np.abs(m.ravel()) ** 2).tolist()), keep
+        differ += twin._marginal_purities[keep] != float(np.vdot(m, m).real)
+    assert sorted(twin._marginal_purities) == sorted(subsets) and differ
+    # every campaign formula and the public reads run on the twin leave the state's table empty
+    for formula in make_check_table(s.dims).values():
+        formula(twin)
+    assert twin.purity() == twin._marginal_purities[(0, 1, 2)] and not twin.is_pure()
+    assert not s._marginal_purities
 
 
 def test_purity_cache_matches_direct():

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -69,12 +68,16 @@ def test_direct_call_follows_the_shape_rule(name, dims):
     ("dims", (1, 2), "site dimension 1"), ("dims", (2, 2, 1), "site dimension 1"),
     ("samples", True, "samples True"), ("samples", 3.0, "samples 3.0"),
     ("restarts", True, "restarts True"), ("restarts", 2.5, "restarts 2.5"),
-    ("negate", "no", "negate 'no'"), ("negate", 0.0, "negate 0.0"), ("negate", 1, "negate 1")])
+    ("negate", "no", "negate 'no'"), ("negate", 0.0, "negate 0.0"), ("negate", 1, "negate 1"),
+    ("inequalities", 5, "inequalities 5"), ("inequalities", None, "inequalities None"),
+    ("ensemble", "hs", "ensemble 'hs'")])
 def test_campaign_rejects_what_it_cannot_run(field, value, message):
     # a float would be truncated and a bool read as 1, each reported as given;
     # a site of dimension 1 gives no evidence (subadd holds with equality there);
-    # a negate of "no" would run a negation control
-    need = "a bool" if field == "negate" else "an integer"
+    # a negate of "no" would run a negation control; a bad ensemble or check list
+    # is refused when the campaign is built, not when it runs
+    need = {"negate": "a bool", "inequalities": "a sequence of check names",
+            "ensemble": "an EnsembleSpec"}.get(field, "an integer")
     with pytest.raises(ValueError, match=f"invalid {re.escape(message)}: need {need}"):
         Campaign(**{"dims": (2, 2), field: value})
 
@@ -94,12 +97,11 @@ def test_campaign_and_optimizer_share_one_count_rule():
 
 
 def test_campaign_rejects_inapplicable_name():
-    c = Campaign(dims=(2, 3), ensemble=hs(0), inequalities=("thm1i",), samples=1)
+    # the campaign checks its names when it is built, before any sample
     with pytest.raises(ValueError, match="not applicable"):
-        run_campaign(c)
-    c = Campaign(dims=(2, 3), ensemble=hs(0), inequalities=("nope",), samples=1)
-    with pytest.raises(ValueError):
-        run_campaign(c)
+        Campaign(dims=(2, 3), ensemble=hs(0), inequalities=("thm1i",), samples=1)
+    with pytest.raises(ValueError, match="unknown inequality 'nope'"):
+        Campaign(dims=(2, 3), ensemble=hs(0), inequalities=("nope",), samples=1)
 
 
 @pytest.mark.parametrize("samples", [0, -4])
@@ -193,10 +195,10 @@ def test_control_trips_on_ninety_percent_of_pairs():
 def test_campaign_rejects_repeated_check_name():
     # a repeated name would share one stats entry while the report lists it
     # twice, so the negation control would expect twice the violations
-    c = Campaign(dims=(2, 2), ensemble=hs(0), inequalities=("subadd", "subadd"), samples=2)
-    for campaign in (c, replace(c, negate=True)):
+    for negate in (False, True):
         with pytest.raises(ValueError, match="more than once"):
-            run_campaign(campaign)
+            Campaign(dims=(2, 2), ensemble=hs(0), inequalities=("subadd", "subadd"), samples=2,
+                     negate=negate)
 
 
 # ---------------------------------------------------------------------------
