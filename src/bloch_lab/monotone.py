@@ -20,11 +20,15 @@ correlation mass is
   eigenvectors, then Haar unitaries drawn once per size and seed): each
   step moves P to the top-c eigenvectors of the gradient plus a shift
   times P, with all restarts ascending in lock-step as one stacked batch
-  (``_optimize_split``).  A restart's shift starts at a quarter of the
-  worst-case shift that makes every step an ascent, and doubles, up to
-  it, in place of a step that would lower Q.  The last few solves are
-  memoized on the traced marginal's bytes and the optimizer settings
-  (``_solve_split``), so re-checking a state repeats no ascent.
+  (``_optimize_split``).  The batch may hold the restarts of several
+  objectives with the same dimensions and site order -- thm1i's A|E and
+  B|E ascend together -- and each objective's result is bit for bit the
+  one it gets alone; a single pair is a stack of one.  A restart's shift
+  starts at a quarter of the worst-case shift that makes every step an
+  ascent, and doubles, up to it, in place of a step that would lower Q.
+  The last stacked solve is memoized on the tuple of traced marginals'
+  bytes and the optimizer settings (``_solve_split``), so re-checking a
+  state right after its check repeats no ascent.
 
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
@@ -45,10 +49,11 @@ from .reports import InequalityReport, _report, _require_applicable
 from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
                      _marginal, derive_seed)
 
-# split solves kept by _solve_split: the most that one check makes on one
-# sample (thm1i on (2,2,3)), so a re-check of that sample right after it
-# repeats no ascent, while any other repeat misses
-SPLIT_MEMO_SIZE = 2
+# stacked split solves kept by _solve_split: the most that one check makes
+# on one sample (thm1i solves A|E and B|E as one stack, lemma5 solves A|B),
+# so a re-check of that sample right after it repeats no ascent, while any
+# other repeat misses
+SPLIT_MEMO_SIZE = 1
 # each restart's first shift as a fraction of sigma (0.25 took the fewest
 # sweeps in a survey; at 0.15 or less the slowest solves grew)
 SHIFT_START = 0.25
@@ -122,9 +127,11 @@ class MonotoneResult:
     subspace; it vanishes at the optimum for pure states.  ``heuristic_max``
     marks optimized values on mixed states, where the ascent only
     certifies a lower bound on the true maximum.  ``sweeps`` counts the
-    lock-step eigen-steps the optimizer ran and ``restart_values`` holds
-    each restart's final objective value, in restart order; they stay 0
-    and () when no optimization ran.
+    lock-step eigen-steps the optimizer ran until this pair's last restart
+    froze (in a stack of pairs solved together, this pair's own count, not
+    the stack's) and ``restart_values`` holds each restart's final
+    objective value, in restart order; they stay 0 and () when no
+    optimization ran.
 
     ``value`` is fixed to rounding level, but ``unitary`` and ``delta`` only
     to about sqrt(machine epsilon): the maximum is flat to second order, so
@@ -157,11 +164,11 @@ class MonotoneResult:
 #          + Tr(rho_B P)^2,          N = Tr_B(rho (1xP)),
 #
 # a homogeneous quadratic form Q(P) = vec(P)^T K vec(P) with one symmetric
-# d_B^2 x d_B^2 matrix K, built once per call.  The gradient, the step's
-# shift and the reported raw mass all read K.  Every step below acts on a
-# stack of restarts at once (U is an (R, d_B, d_B) array), and every
-# product with K is taken per restart, so no restart's arithmetic depends
-# on the others.
+# d_B^2 x d_B^2 matrix K, built once per traced marginal.  The gradient,
+# the step's shift and the reported raw mass all read K.  Every step below
+# acts on a stack of restarts at once (U is an (R, d_B, d_B) array, over
+# one or more objectives), and every product with K is taken per restart,
+# so no restart's arithmetic depends on the others.
 
 
 class _SplitObjective:
@@ -185,18 +192,20 @@ class _SplitObjective:
         """Tr(((1xP) rho (1xP))^2), the first term of Q(P)."""
         return float(np.einsum("abmn,np,bapq,qm->", self.R4, P, self.R4, P).real)
 
-    def gradient(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Phi, Q(P), P) with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
 
-        Phi = 2 reshape(K vec P)^T and Q(P) = vec(P)^T K vec(P); P is
-        returned for the eigen-step, which needs it next to Phi.
-        """
-        R, dB = U.shape[0], self.dB
-        V = U[:, :, :self.c]
-        P = V @ V.conj().swapaxes(1, 2)
-        p = P.reshape(R, 1, dB * dB)
-        Kp = p @ self.K
-        return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real, P
+def _gradient(K: np.ndarray, c: int, U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Phi, Q(P), P) with dQ = Tr(Phi dP) at each P = V V^dag, V = U[:, :, :c].
+
+    K is one objective's matrix, or one per restart stacked along axis 0.
+    Phi = 2 reshape(K vec P)^T and Q(P) = vec(P)^T K vec(P); P is returned
+    for the eigen-step, which needs it next to Phi.
+    """
+    R, dB = U.shape[0], U.shape[1]
+    V = U[:, :, :c]
+    P = V @ V.conj().swapaxes(1, 2)
+    p = P.reshape(R, 1, dB * dB)
+    Kp = p @ K
+    return 2.0 * Kp.reshape(R, dB, dB).swapaxes(1, 2), (Kp * p).sum(axis=(1, 2)).real, P
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -216,13 +225,15 @@ def _haar_starts(d: int, restarts: int, seed: int) -> np.ndarray:
     return starts
 
 
-def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    """Ascend all restarts in lock-step; returns (values, best U, converged, sweeps).
+def _optimize_split(objs: tuple[_SplitObjective, ...], config: OptimizerConfig
+                    ) -> list[tuple[np.ndarray, np.ndarray, bool, int]]:
+    """Ascend all restarts of a stack of objectives in lock-step; (values, best U, converged, sweeps) of each.
 
-    Restart 0 starts from the eigenvectors of rho_B in descending order,
-    exact for pure states, where the top-c eigenvectors span the Schmidt
-    subspace; restart r >= 1 starts from a Haar unitary seeded by
-    derive_seed(config.seed, r) (``_haar_starts``).  A sweep is one
+    The objectives share c and d_B.  Restart 0 of each starts from the
+    eigenvectors of its rho_B in descending order, exact for pure states,
+    where the top-c eigenvectors span the Schmidt subspace; restart r >= 1
+    starts from a Haar unitary seeded by derive_seed(config.seed, r)
+    (``_haar_starts``), the same for every objective.  A sweep is one
     eigen-step of every live restart: U becomes the eigenvectors, in
     descending order, of Phi(P) + 2 sigma_r P at P = V V^dag, V = U[:, :, :c]
     (the generalized power method).  For Hermitian P, Q(P) = vec(P)^dag S K
@@ -237,46 +248,60 @@ def _optimize_split(obj: _SplitObjective, config: OptimizerConfig) -> tuple[np.n
     taken step that gained less than STEP_TOL freezes its restart with the Q
     of its last U, what a run of that restart alone gives.  Q after a step
     is read from the gradient that also serves the next step.
-    ``values`` holds every restart's final Q in restart order; the winner
-    is the first restart with the largest one.
+
+    Each restart carries its own objective's K, sigma and shift, and every
+    product with K is taken per restart, so no restart's arithmetic depends
+    on the others: each objective's result is bit for bit that of a stack
+    of one.  Its ``sweeps`` counts the sweeps until its last restart froze
+    (or the budget ran out), its ``values`` every restart's final Q in
+    restart order; the winner is the first restart with the largest one.
     """
-    dB, R = obj.dB, config.restarts
-    w, vecs = np.linalg.eigh(obj.rho_B)
-    U = np.empty((R, dB, dB), dtype=complex)
-    U[0] = vecs[:, np.argsort(-w)]
-    U[1:] = _haar_starts(dB, R, config.seed)
-    values, final_U = np.empty(R), np.empty_like(U)
-    converged = np.zeros(R, dtype=bool)
-    live = np.arange(R)
+    c, dB, R, N = objs[0].c, objs[0].dB, config.restarts, len(objs)
+    U = np.empty((N, R, dB, dB), dtype=complex)
+    for i, obj in enumerate(objs):
+        w, vecs = np.linalg.eigh(obj.rho_B)
+        U[i, 0] = vecs[:, np.argsort(-w)]
+    U[:, 1:] = _haar_starts(dB, R, config.seed)
+    U = U.reshape(N * R, dB, dB)
+    # restart j of the stack belongs to objective j // R
+    K = np.stack([obj.K for obj in objs])
     # S K is K with its rows permuted by the swap (m, n) -> (n, m)
     swap = np.arange(dB * dB).reshape(dB, dB).T.ravel()
-    sigma = max(0.0, -float(np.linalg.eigvalsh(obj.K[swap])[0]))
-    shift = np.full(R, SHIFT_START * sigma)
-    phi, prev, P = obj.gradient(U)
+    sigma = np.repeat(np.maximum(0.0, -np.linalg.eigvalsh(K[:, swap])[:, 0]), R)
+    K = np.repeat(K, R, axis=0)
+    values, final_U = np.empty(N * R), np.empty_like(U)
+    converged = np.zeros(N * R, dtype=bool)
+    frozen_at = np.zeros(N * R, dtype=int)
+    live = np.arange(N * R)
+    shift = SHIFT_START * sigma
+    phi, prev, P = _gradient(K, c, U)
     sweeps = 0
     while live.size and sweeps < config.max_sweeps:
         sweeps += 1
         U_new = np.linalg.eigh(phi + (2.0 * shift)[:, None, None] * P)[1][:, :, ::-1]
-        phi_new, cur, P_new = obj.gradient(U_new)
+        phi_new, cur, P_new = _gradient(K, c, U_new)
+        gain = cur - prev
         # a short-shift step that lowers Q is not taken; its restart backs off
-        back = (cur < prev) & (shift < sigma)
+        back = (gain < 0.0) & (shift < sigma)
         if back.any():
             U_new[back], phi_new[back], P_new[back], cur[back] = U[back], phi[back], P[back], prev[back]
-            shift[back] = np.minimum(2.0 * shift[back], sigma)
+            shift[back] = np.minimum(2.0 * shift[back], sigma[back])
         U, phi, P = U_new, phi_new, P_new
-        done = (cur - prev < STEP_TOL) & ~back
+        done = (gain < STEP_TOL) & ~back
         if done.any():
-            values[live[done]] = cur[done]
-            final_U[live[done]] = U[done]
-            converged[live[done]] = True
+            frozen = live[done]
+            values[frozen], final_U[frozen], frozen_at[frozen] = cur[done], U[done], sweeps
+            converged[frozen] = True
             keep = ~done
-            live, U, phi, P, cur, shift = live[keep], U[keep], phi[keep], P[keep], cur[keep], shift[keep]
+            live, U, phi, P, cur = live[keep], U[keep], phi[keep], P[keep], cur[keep]
+            K, sigma, shift = K[keep], sigma[keep], shift[keep]
         prev = cur
     # restarts still live ran out of sweeps
-    values[live] = prev
-    final_U[live] = U
-    best = int(np.argmax(values))
-    return values, final_U[best], bool(converged[best]), sweeps
+    values[live], final_U[live], frozen_at[live] = prev, U, sweeps
+    values, final_U = values.reshape(N, R), final_U.reshape(N, R, dB, dB)
+    converged, frozen_at, best = converged.reshape(N, R), frozen_at.reshape(N, R), values.argmax(axis=1)
+    return [(values[i], final_U[i, best[i]], bool(converged[i, best[i]]), int(frozen_at[i].max()))
+            for i in range(N)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,53 +330,72 @@ def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationP
     d_sg = prod(state.dims[s] for s in sigma)
     g = (policy or default_policy(omega, sigma)).resolve(d_om, d_sg)
     considered = tuple(sorted(omega + sigma))
-    P = state._marginal_purities
 
     if _is_closed(omega, sigma, d_om, d_sg):
+        P = state._marginal_purities
         raw = _closed_raw(d_om, d_sg, P[considered], P[omega], P[sigma])
         return MonotoneResult(value=raw / g, g=g, raw=raw, converged=True, restarts=0,
                               delta=0.0, heuristic_max=False, unitary=None)
+    return _split_results(state, ((omega, sigma, considered),), g, config)[0]
 
-    # single site vs single site, unequal dimensions: optimize the split on
-    # their two-site marginal, whose sites keep their order
-    small_site, large_site = (omega[0], sigma[0]) if d_om < d_sg else (sigma[0], omega[0])
-    c = min(d_om, d_sg)
+
+def _split_results(state: DensityMatrix, pairs, g: float,
+                   config: OptimizerConfig | None = None) -> list[MonotoneResult]:
+    """correlation_monotone of each split pair (omega, sigma, sorted union), from one stacked solve.
+
+    Every pair is two single sites of the same two unequal dimensions, the
+    smaller one on the same side of the larger in site order, and every
+    pair's normalization is g.  Each pair's split is optimized on its
+    two-site marginal, whose sites keep their order.
+    """
+    (omega, sigma, _), dims = pairs[0], state.dims
+    small_site, large_site = ((omega[0], sigma[0]) if dims[omega[0]] < dims[sigma[0]]
+                              else (sigma[0], omega[0]))
+    c, d_large = dims[small_site], dims[large_site]
     config = config or OptimizerConfig()
-    m = _marginal(state, considered)
-    values, U, converged, sweeps, compressed = _solve_split(
-        m.tobytes(), c, max(d_om, d_sg), small_site < large_site, config)
-    raw = max(values)
-    # the memo key's marginal fills the table entry, so the pair is traced once
-    purity = P[considered] if considered in P else P.fill(considered, m)
-    # (c/(d_B - c)) times the split-basis mass outside the low joint block,
-    # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
-    delta = c * c * (purity - compressed)
-    return MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
-                          restarts=config.restarts, delta=delta,
-                          heuristic_max=not _is_pure(purity), unitary=U,
-                          sweeps=sweeps, restart_values=values)
+    marginals = [_marginal(state, joint) for _, _, joint in pairs]
+    solves = _solve_split(tuple(m.tobytes() for m in marginals), c, d_large,
+                          small_site < large_site, config)
+    P = state._marginal_purities
+    results = []
+    for (_, _, joint), m, (values, U, converged, sweeps, compressed) in zip(pairs, marginals, solves):
+        raw = max(values)
+        # the memo key's marginal fills the table entry, so the pair is traced once
+        purity = P[joint] if joint in P else P.fill(joint, m)
+        # (c/(d_B - c)) times the split-basis mass outside the low joint block,
+        # which equals c^2 (Tr rho^2 - Tr(((1xP) rho (1xP))^2))
+        delta = c * c * (purity - compressed)
+        results.append(MonotoneResult(value=raw / g, g=g, raw=raw, converged=converged,
+                                      restarts=config.restarts, delta=delta,
+                                      heuristic_max=not _is_pure(purity), unitary=U,
+                                      sweeps=sweeps, restart_values=values))
+    return results
 
 
 @lru_cache(maxsize=SPLIT_MEMO_SIZE)
-def _solve_split(matrix: bytes, d_small: int, d_large: int, small_first: bool,
-                 config: OptimizerConfig) -> tuple[tuple[float, ...], np.ndarray, bool, int, float]:
-    """(restart values, best U, converged, sweeps, Tr(((1xP) rho (1xP))^2)) of one split solve.
+def _solve_split(matrices: tuple[bytes, ...], d_small: int, d_large: int, small_first: bool,
+                 config: OptimizerConfig) -> tuple[tuple[tuple[float, ...], np.ndarray, bool, int, float], ...]:
+    """(restart values, best U, converged, sweeps, Tr(((1xP) rho (1xP))^2)) of each marginal, in one stack.
 
-    The solve is deterministic in its arguments: the bytes of the traced
-    two-site marginal, the two dimensions, the site order and the
-    frozen config.  It reads no marginal purities, and a precise twin
-    (``states._precise``) shares its state's matrix, so the twin's traced
-    marginal has the same bytes: a campaign's precise re-check of a sample
-    hits the memo instead of re-running the optimizer.  The cached U is
-    read-only.
+    ``matrices`` holds the bytes of each traced two-site marginal; all share
+    the two dimensions and the site order.  The solve is deterministic in
+    its arguments, and each marginal's result is the one it gets solved
+    alone (``_optimize_split``), so the memo is keyed on the tuple of
+    marginals, the dimensions, the order and the frozen config.  It reads
+    no marginal purities, and a precise twin (``states._precise``) shares
+    its state's matrix, so the twin's traced marginals have the same bytes:
+    a campaign's precise re-check of a sample hits the memo instead of
+    re-running the optimizer.  The cached U's are read-only.
     """
     n = d_small * d_large
-    obj = _SplitObjective(np.frombuffer(matrix, dtype=complex).reshape(n, n),
-                          d_small, d_large, small_first)
-    values, U, converged, sweeps = _optimize_split(obj, config)
-    V = U[:, :d_small]
-    U.setflags(write=False)
-    return tuple(values.tolist()), U, converged, sweeps, obj.compressed_purity(V @ V.conj().T)
+    objs = tuple(_SplitObjective(np.frombuffer(m, dtype=complex).reshape(n, n), d_small, d_large, small_first)
+                 for m in matrices)
+    solves = []
+    for obj, (values, U, converged, sweeps) in zip(objs, _optimize_split(objs, config)):
+        V = U[:, :d_small]
+        U.setflags(write=False)
+        solves.append((tuple(values.tolist()), U, converged, sweeps, obj.compressed_purity(V @ V.conj().T)))
+    return tuple(solves)
 
 
 def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None = None) -> float:
@@ -394,13 +438,13 @@ def _pair_value(state: DensityMatrix, P, pair, d_om: int, d_sg: int, g: float,
     """correlation_monotone(state, pair).value for groups of dimensions d_om, d_sg and their g.
 
     A closed pair is the purity formula over the table P, so no partition is
-    re-checked and no MonotoneResult is built; a split pair is solved by
-    correlation_monotone.
+    re-checked and no MonotoneResult is built; a split pair is solved as a
+    stack of one (``_split_results``).
     """
     omega, sigma, joint = pair
     if _is_closed(omega, sigma, d_om, d_sg):
         return _closed_raw(d_om, d_sg, P[joint], P[omega], P[sigma]) / g
-    return correlation_monotone(state, (omega, sigma), config=config).value
+    return _split_results(state, (pair,), g, config)[0].value
 
 
 def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple:
@@ -409,8 +453,11 @@ def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple
     # A|E and B|E have the same dimensions, so g_AE = g_BE
     g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
     P = state._marginal_purities
-    t_ae = _pair_value(state, P, _A_E, d, d_e, g_e, config)
-    t_be = _pair_value(state, P, _B_E, d, d_e, g_e, config)
+    if d == d_e:
+        t_ae, t_be = _pair_value(state, P, _A_E, d, d, g_e), _pair_value(state, P, _B_E, d, d, g_e)
+    else:
+        # A|E and B|E also share the site order, so they ascend as one stack
+        t_ae, t_be = (r.value for r in _split_results(state, (_A_E, _B_E), g_e, config))
     t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g_abe)
     coeff = g_abe / g_e
     lhs, rhs = t_ae + t_be, coeff * t_abe

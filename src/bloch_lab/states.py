@@ -344,9 +344,10 @@ class EnsembleSpec:
 
     ``induced`` traces a Haar-random pure state over a rank_cap-dimensional
     ancilla (rank_cap = D reproduces Hilbert-Schmidt).  ``product-of``
-    draws each site independently with the kinds in ``factors``, passing
-    rank_cap to each.  ``pure-haar`` and ``hilbert-schmidt`` take no rank_cap.
-    A spec checks itself when built; the factor count waits for a draw's dims.
+    draws each site independently with the kinds in ``factors`` (stored as a
+    tuple), passing rank_cap to each.  ``pure-haar`` and ``hilbert-schmidt``
+    take no rank_cap.  A spec checks itself when built; the factor count
+    waits for a draw's dims.
     """
 
     kind: str = "hilbert-schmidt"
@@ -373,6 +374,9 @@ class EnsembleSpec:
         for f in self.factors or ():
             if not isinstance(f, str) or _KIND_ALIASES.get(f, f) not in KINDS or f == "product-of":
                 raise ValueError(f"invalid product factor kind {_shown(f)}")
+        if self.factors is not None:
+            # kept as a tuple, so that a spec built from a list hashes
+            object.__setattr__(self, "factors", tuple(self.factors))
 
     def canonical_kind(self) -> str:
         return _KIND_ALIASES.get(self.kind, self.kind)

@@ -102,7 +102,8 @@ class Campaign:
     and ``restarts`` are stored as ints; a bool or float is rejected.  ``negate``
     must be a bool: a string or a number is rejected, not read as true.
     ``ensemble`` must be an EnsembleSpec, and ``inequalities`` a sequence of
-    distinct check names that apply to dims, or ("all",) (``_resolve_checks``).
+    distinct check names that apply to dims, or ("all",) (``_resolve_checks``),
+    stored as a tuple; one bare name is one check.
 
     Campaigns run serially.  ``threads`` is kept only so that callers which
     pass ``threads=1`` keep working: it accepts None or 1, and nothing reads it.
@@ -125,6 +126,13 @@ class Campaign:
             raise ValueError(f"invalid negate {_shown(self.negate)}: need a bool")
         if not isinstance(self.ensemble, EnsembleSpec):
             raise ValueError(f"invalid ensemble {_shown(self.ensemble)}: need an EnsembleSpec")
+        names = self.inequalities
+        if isinstance(names, str):
+            names = (names,)  # one bare name is one check
+        elif not isinstance(names, Sequence):
+            raise ValueError(f"invalid inequalities {_shown(names)}: need a sequence of check names")
+        # kept as a tuple, so that a campaign built from a list hashes
+        object.__setattr__(self, "inequalities", tuple(names))
         _resolve_checks(self.inequalities, self.dims)
         if self.threads is not None and _check_count("threads", self.threads) != 1:
             raise ValueError(f"invalid threads {self.threads!r}: campaigns run serially, "
@@ -190,14 +198,9 @@ class CampaignReport:
         return out
 
 
-def _resolve_checks(names, dims: tuple[int, ...]) -> tuple[str, ...]:
-    """The checks a campaign on dims runs, in order; ValueError on a non-sequence, an unknown,
-    inapplicable or repeated name, or no check at all."""
-    if isinstance(names, str):
-        names = (names,)  # one bare name is one check
-    elif not isinstance(names, Sequence):
-        raise ValueError(f"invalid inequalities {_shown(names)}: need a sequence of check names")
-    names = tuple(names)
+def _resolve_checks(names: tuple[str, ...], dims: tuple[int, ...]) -> tuple[str, ...]:
+    """The checks a campaign on dims runs, in order; ValueError on an unknown, inapplicable
+    or repeated name, or no check at all."""
     if names == ("all",):
         names = applicable_inequalities(dims)
     else:
@@ -273,9 +276,10 @@ def negation_control(campaign: Campaign) -> CampaignReport:
 # reduced by math.fsum, so a candidate cannot be an artifact of naive
 # accumulation order.  The twin traces the same marginals as partial_trace,
 # from one cached trace plan.  The split optimizer (thm1i and lemma5 between
-# sites of unequal dimension) reads no purities; the twin's marginal has the
-# state's bytes, so its re-check returns the memoized standard solve, and
-# only its delta reads the precise purity.
+# sites of unequal dimension) reads no purities; the twin's marginals have
+# the state's bytes, so its re-check returns the memoized standard solve --
+# thm1i's stack of A|E and B|E, or lemma5's A|B -- and only its delta reads
+# the precise purity.
 
 
 def precise_slack(name: str, state: DensityMatrix, restarts: int = CAMPAIGN_RESTARTS) -> float:

@@ -17,9 +17,9 @@ from bloch_lab import (DensityMatrix, EnsembleSpec, MonotoneResult, Normalizatio
                        monotone_pure_exact, partial_trace, pure, random_state, tensor)
 from bloch_lab.correlation import (bases_with_split, bloch_coefficients, cross_norm_sum,
                                    split_sector_norms, tensor_norm_sq)
-from bloch_lab.monotone import (SHIFT_START, SPLIT_MEMO_SIZE, _haar_starts, _haar_unitary,
-                                _solve_split, _SplitObjective, default_policy)
-from bloch_lab.states import _precise, derive_seed
+from bloch_lab.monotone import (SHIFT_START, SPLIT_MEMO_SIZE, _gradient, _haar_starts, _haar_unitary,
+                                _solve_split, _split_results, _SplitObjective, default_policy)
+from bloch_lab.states import _marginal, _precise, derive_seed
 
 
 def hs_state(dims, seed, index=0):
@@ -108,7 +108,7 @@ def test_objective_equals_rotated_low_joint_mass(seed):
     sn = split_sector_norms(
         bloch_coefficients(rotated, bases_with_split((2, 4), 1, 2)))
     assert objective_value(obj, proj) == pytest.approx(sn.low_joint, abs=1e-12)
-    phi, q0, _ = obj.gradient(u[None])
+    phi, q0, _ = _gradient(obj.K, obj.c, u[None])
     assert q0[0] == pytest.approx(objective_value(obj, proj), abs=1e-12)
     np.testing.assert_allclose(phi[0], phi[0].conj().T, atol=1e-12)
 
@@ -270,10 +270,10 @@ def test_step_that_lowers_q_is_rejected_and_its_shift_doubles():
     obj = _SplitObjective(s.matrix, 2, 3, small_first=True)
     swap = np.arange(9).reshape(3, 3).T.ravel()
     sigma = -np.linalg.eigvalsh(obj.K[swap])[0]
-    phi, q0, P = obj.gradient(_haar_starts(3, 2, 0))
+    phi, q0, P = _gradient(obj.K, obj.c, _haar_starts(3, 2, 0))
 
     def stepped(shift):
-        return obj.gradient(np.linalg.eigh(phi + 2.0 * shift * P)[1][:, :, ::-1])[1][0]
+        return _gradient(obj.K, obj.c, np.linalg.eigh(phi + 2.0 * shift * P)[1][:, :, ::-1])[1][0]
 
     short, doubled = SHIFT_START * sigma, 2.0 * SHIFT_START * sigma
     assert stepped(short) < q0[0] - 1e-3
@@ -323,7 +323,7 @@ def test_returned_subspace_is_stationary(dims):
         s = hs_state(dims, seed=43, index=i)
         r = correlation_monotone(s, ((0,), (1,)), config=cfg)
         obj = _SplitObjective(s.matrix, c, d, small_first=dims[0] < dims[1])
-        phi, _, _ = obj.gradient(r.unitary[None])
+        phi, _, _ = _gradient(obj.K, obj.c, r.unitary[None])
         V = r.unitary[:, :c]
         P = V @ V.conj().T
         assert np.abs((np.eye(d) - P) @ phi[0] @ P).max() <= 1e-5, (dims, i)
@@ -359,6 +359,15 @@ def test_memo_hit_equals_fresh_solve():
     for name in ("value", "raw", "delta", "sweeps", "restart_values", "converged"):
         assert getattr(hit, name) == getattr(fresh, name), name
     assert hit.unitary.tobytes() == fresh.unitary.tobytes()
+    # a single pair is keyed as a stack of one marginal
+    (cached,) = _solve_split((s.matrix.tobytes(),), 2, 3, True, cfg)
+    assert _solve_split.cache_info().hits == 2 and cached[1] is hit.unitary
+    # thm1i's stack of A|E and B|E hits the same way on a copied state
+    s = hs_state((2, 2, 3), seed=61)
+    fresh = check_thm1_i(s, cfg)
+    hit = check_thm1_i(from_matrix(s.matrix.copy(), s.dims), cfg)
+    assert (_solve_split.cache_info().hits, _solve_split.cache_info().misses) == (3, 2)
+    assert repr(hit) == repr(fresh)
 
 
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4)])
@@ -396,6 +405,51 @@ def test_split_checks_build_no_marginal_state(monkeypatch):
     assert built == []
 
 
+# (drawn dims, ensemble): each row's A|E and B|E ascend as one stack in thm1i;
+# (3, 3, 2) puts the small site second
+STACK_ROWS = [(dims, spec) for dims in ((2, 2, 3), (3, 3, 2), (2, 2, 4), (3, 3, 4))
+              for spec in (EnsembleSpec("hilbert-schmidt", seed=17), EnsembleSpec("pure-haar", seed=17),
+                           EnsembleSpec("induced", seed=17, rank_cap=2))]
+
+
+def _solve_fields(solve, result):
+    values, U, converged, sweeps, compressed = solve
+    return (np.array(values).tobytes(), U.tobytes(), converged, sweeps, compressed.hex(),
+            result.delta.hex(), result.value.hex())
+
+
+@pytest.mark.parametrize("dims,spec", STACK_ROWS, ids=lambda v: getattr(v, "kind", str(v)))
+def test_stacked_solve_equals_each_objective_solved_alone(dims, spec):
+    d, _, d_e = dims
+    c, d_large = min(d, d_e), max(d, d_e)
+    g = float(c * c - 1)
+    pairs = (((0,), (2,), (0, 2)), ((1,), (2,), (1, 2)))
+    split_budget_seen = False
+    for i in range(3):
+        state = random_state(dims, spec, i)
+        keys = tuple(_marginal(state, joint).tobytes() for _, _, joint in pairs)
+
+        def run(stack, config):
+            _solve_split.cache_clear()
+            solves = _solve_split(tuple(keys[k] for k in stack), c, d_large, d < d_e, config)
+            results = _split_results(state, tuple(pairs[k] for k in stack), g, config)
+            return [_solve_fields(solve, r) for solve, r in zip(solves, results)]
+
+        for restarts in (1, 8):
+            full = OptimizerConfig(restarts=restarts, seed=0)
+            sweeps = sorted(f[3] for f in run((0, 1), full))
+            # a budget between the two objectives' sweeps: one ends within it, the other exhausts it
+            budgets = [500] + ([(sweeps[0] + sweeps[1]) // 2] if sweeps[1] - sweeps[0] >= 2 else [])
+            for budget in budgets:
+                config = OptimizerConfig(restarts=restarts, seed=0, max_sweeps=budget)
+                stacked = run((0, 1), config)
+                assert stacked == run((0,), config) + run((1,), config), (i, restarts, budget)
+                if budget < 500:
+                    assert sorted(f[3] for f in stacked) == [sweeps[0], budget]
+                    split_budget_seen = True
+    assert split_budget_seen
+
+
 def test_cached_unitary_is_read_only():
     r = correlation_monotone(hs_state((2, 4), seed=61), ((0,), (1,)),
                              config=OptimizerConfig(restarts=2, seed=0))
@@ -409,16 +463,29 @@ def test_other_restarts_or_seed_miss_the_memo():
                 OptimizerConfig(restarts=4, seed=1)):
         correlation_monotone(s, ((0,), (1,)), config=cfg)
     assert (_solve_split.cache_info().hits, _solve_split.cache_info().misses) == (0, 3)
+    # the key is the whole tuple of marginals: a pair of thm1i's stack solved
+    # alone, or the stack in the other order, is another solve
+    s = hs_state((2, 2, 3), seed=62)
+    cfg = OptimizerConfig(restarts=4, seed=0)
+    stacked = check_thm1_i(s, cfg)
+    alone = correlation_monotone(s, ((0,), (2,)), config=cfg)
+    ae, be = (_marginal(s, joint).tobytes() for joint in ((0, 2), (1, 2)))
+    swapped = _solve_split((be, ae), 2, 3, True, cfg)
+    assert (_solve_split.cache_info().hits, _solve_split.cache_info().misses) == (0, 6)
+    assert repr(alone.value) == repr(stacked.extras["t_ae"])
+    assert repr(max(swapped[0][0]) / 3.0) == repr(stacked.extras["t_be"])
 
 
 def test_memo_is_bounded():
+    # the memo counts stacked solves: thm1i makes one per (2, 2, 3) sample
     cfg = OptimizerConfig(restarts=1, seed=0)
     assert _solve_split.cache_info().maxsize == SPLIT_MEMO_SIZE <= 16
     for i in range(SPLIT_MEMO_SIZE + 1):
-        correlation_monotone(hs_state((2, 3), seed=63, index=i), ((0,), (1,)), config=cfg)
+        check_thm1_i(hs_state((2, 2, 3), seed=63, index=i), cfg)
     assert _solve_split.cache_info().currsize == SPLIT_MEMO_SIZE
-    # the oldest solve was evicted, so solving it again runs the optimizer
-    correlation_monotone(hs_state((2, 3), seed=63, index=0), ((0,), (1,)), config=cfg)
+    assert _solve_split.cache_info().misses == SPLIT_MEMO_SIZE + 1
+    # the oldest stack was evicted, so solving it again runs the optimizer
+    check_thm1_i(hs_state((2, 2, 3), seed=63, index=0), cfg)
     assert _solve_split.cache_info().misses == SPLIT_MEMO_SIZE + 2
 
 

@@ -104,6 +104,18 @@ def test_campaign_rejects_inapplicable_name():
         Campaign(dims=(2, 3), ensemble=hs(0), inequalities=("nope",), samples=1)
 
 
+def test_campaign_and_spec_built_from_lists_hash_and_equal_the_tuple_built():
+    spec, spec_t = (EnsembleSpec("product-of", factors=f) for f in (["hs", "hs"], ("hs", "hs")))
+    c = Campaign(dims=(2, 2), ensemble=spec, inequalities=["subadd"], samples=2)
+    c_t = Campaign(dims=(2, 2), ensemble=spec_t, inequalities=("subadd",), samples=2)
+    assert (spec.factors, c.inequalities) == (("hs", "hs"), ("subadd",))
+    assert spec == spec_t and c == c_t and len({spec, spec_t}) == len({c, c_t}) == 1
+    assert Campaign(dims=(2, 2), inequalities="subadd") == Campaign(dims=(2, 2), inequalities=("subadd",))
+    # the campaign reports as the one built from tuples
+    got, want = (json.dumps(run_campaign(x).to_jsonable(deterministic=True)) for x in (c, c_t))
+    assert got == want
+
+
 @pytest.mark.parametrize("samples", [0, -4])
 def test_campaign_rejects_empty_sample_count(samples):
     # a campaign with no samples has no evidence for a verdict either way
@@ -222,8 +234,8 @@ def test_precise_slack_matches_standard(name):
 
 
 def test_precise_recheck_after_campaign_reuses_the_split_solves(monkeypatch):
-    # (2, 2, 3) thm1i runs two split solves per sample; re-checking a
-    # 1-sample campaign's argmin right after it finds both in the memo
+    # (2, 2, 3) thm1i solves its two split pairs as one stack per sample;
+    # re-checking a 1-sample campaign's argmin right after it finds the stack in the memo
     from bloch_lab import monotone
 
     campaign = Campaign(dims=(2, 2, 3), ensemble=hs(8), samples=1, restarts=8)
@@ -231,14 +243,14 @@ def test_precise_recheck_after_campaign_reuses_the_split_solves(monkeypatch):
     calls = []
     solve = monotone._optimize_split
     monkeypatch.setattr(monotone, "_optimize_split",
-                        lambda *args: calls.append(args) or solve(*args))
+                        lambda objs, config: calls.append(len(objs)) or solve(objs, config))
     state = random_state(campaign.dims, campaign.ensemble, index=st.argmin_index)
     precise = precise_slack("thm1i", state, restarts=campaign.restarts)
     assert precise == pytest.approx(st.min_slack, abs=1e-10)
     assert calls == []
-    # the spy does see solves that are not memoized
+    # the spy does see a solve that is not memoized: one stack of A|E and B|E
     precise_slack("thm1i", state, restarts=3)
-    assert len(calls) == 2
+    assert calls == [2]
 
 
 def test_precise_slack_unknown_name():
@@ -292,20 +304,20 @@ def test_candidates_are_rechecked_and_dumped_in_index_order(tmp_path, monkeypatc
 
 def test_candidates_are_rechecked_from_the_memo(tmp_path, monkeypatch):
     # with every slack a candidate, each sample is re-checked right after its
-    # own checks and reuses their split solves: two solves per (2, 2, 3)
-    # sample, although the campaign makes more solves than the memo holds
+    # own checks and reuses their split solves: one stack of two objectives per
+    # (2, 2, 3) sample, although the campaign makes more stacks than the memo holds
     from bloch_lab import monotone, verify
 
     monkeypatch.setattr(verify, "CANDIDATE_TOL", -10.0)
     calls = []
     solve = monotone._optimize_split
     monkeypatch.setattr(monotone, "_optimize_split",
-                        lambda *args: calls.append(args) or solve(*args))
+                        lambda objs, config: calls.append(len(objs)) or solve(objs, config))
     c = Campaign(dims=(2, 2, 3), ensemble=hs(9), inequalities=("thm1i",),
-                 samples=monotone.SPLIT_MEMO_SIZE, out_dir=str(tmp_path))
+                 samples=monotone.SPLIT_MEMO_SIZE + 1, out_dir=str(tmp_path))
     st = run_campaign(c).stats["thm1i"]
     assert st.candidates == len(st.counterexample_files) == c.samples
-    assert len(calls) == 2 * c.samples
+    assert calls == [2] * c.samples
 
 
 # ---------------------------------------------------------------------------
