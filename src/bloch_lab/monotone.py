@@ -453,8 +453,8 @@ def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple
     # A|E and B|E have the same dimensions, so g_AE = g_BE
     g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
     P = state._marginal_purities
-    if d == d_e:
-        t_ae, t_be = _pair_value(state, P, _A_E, d, d, g_e), _pair_value(state, P, _B_E, d, d, g_e)
+    if _is_closed(_A_E[0], _A_E[1], d, d_e):
+        t_ae, t_be = _pair_value(state, P, _A_E, d, d_e, g_e), _pair_value(state, P, _B_E, d, d_e, g_e)
     else:
         # A|E and B|E also share the site order, so they ascend as one stack
         t_ae, t_be = (r.value for r in _split_results(state, (_A_E, _B_E), g_e, config))
