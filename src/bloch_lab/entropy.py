@@ -14,7 +14,11 @@ spectrum.  dim-ssa and gen-pseudo are linear entropies only, so they read
 that table (``state._marginal_purities``) as formulas over marginal purities.
 Each campaign check is a private formula (``_dim_ssa``, ``_subadd``,
 ``_gen_pseudo``) that returns (slack, lhs, rhs, *named values) and runs no
-input rule; its public check applies the rules and reports that tuple.
+input rule; its public check applies the rules and reports that tuple, and
+so does dim_ssa_vs_subadd with ``_dim_ssa_vs_subadd``.  Like the monotone's
+formulas they keep small integers as ints and take every other constant from
+the table (``P.ratio``), so they return the table's numbers: floats on a
+state's table, Fractions on an exact one, arrays on a stack.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from math import prod
 
 import numpy as np
 
-from .reports import InequalityReport, _report, _require_applicable, report_from_sides
-from .states import DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum, tensor
+from .reports import InequalityReport, _report, _require_applicable
+from .states import (DensityMatrix, _check_count, _check_dims, _check_real, _marginal_spectrum, _PurityTable,
+                     tensor)
 
 RANGE_TOL = 1e-12
 
@@ -36,7 +41,8 @@ def _entropy(state: DensityMatrix, q: float, keep: tuple[int, ...] | None = None
     """S_q of the marginal on the sorted sites ``keep`` (default: the whole state): Tsallis in
     nats, or Renyi in bits.
 
-    q = 2 reads the purity table; any other q, the spectrum w through t = Tr rho^q - 1 =
+    q = 2 reads the purity table, so its Tsallis value, 1 - P, is a number of the table's type
+    (a float on a state's table); any other q, the spectrum w through t = Tr rho^q - 1 =
     sum w expm1((q-1) ln w), exact near q = 1.  Renyi's ln Tr rho^q is log1p(t) while
     Tr rho^q > 1/2, else the log-sum shifted by lambda_max, which cannot underflow.
     An entropy of exactly 0 is returned as +0.0 on every branch."""
@@ -45,7 +51,7 @@ def _entropy(state: DensityMatrix, q: float, keep: tuple[int, ...] | None = None
     # and leaves every other value as it is
     if q == 2.0:
         p = state._marginal_purities[keep]
-        return float(np.log2(p) / (1.0 - q)) + 0.0 if renyi else 1.0 - p
+        return float(np.log2(p) / (1.0 - q)) + 0.0 if renyi else 1 - p
     w = _marginal_spectrum(state, keep)
     if q == 1.0:
         h = float(-(w * np.log(w)).sum()) + 0.0
@@ -87,17 +93,17 @@ def entropy_vector(state: DensityMatrix) -> EntropyVector:
 
 
 def _abc(state: DensityMatrix):
-    """(dA, dB, C's sites, (dA dB + 1 - dA - dB)/(dA dB)) of dim-ssa's A|B|C grouping."""
-    da, db = state.dims[0], state.dims[1]
-    return da, db, tuple(range(2, state.n_sites)), (da * db + 1 - da - db) / (da * db)
+    """(the purity table P, dA, dB, C's sites, (dA dB + 1 - dA - dB)/(dA dB) in P's numbers) of
+    dim-ssa's A|B|C grouping."""
+    P, da, db = state._marginal_purities, state.dims[0], state.dims[1]
+    return P, da, db, tuple(range(2, state.n_sites)), P.ratio(da * db + 1 - da - db, da * db)
 
 
 def _dim_ssa(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, constant) of dim-ssa on a state of three or more sites."""
-    da, db, c_sites, const = _abc(state)
-    P = state._marginal_purities
-    lhs = (1.0 - P[(0, 1) + c_sites]) + (1.0 - P[c_sites]) / (da * db)
-    rhs = (1.0 - P[(0,) + c_sites]) / db + (1.0 - P[(1,) + c_sites]) / da + const
+    P, da, db, c_sites, const = _abc(state)
+    lhs = (1 - P[(0, 1) + c_sites]) + (1 - P[c_sites]) / (da * db)
+    rhs = (1 - P[(0,) + c_sites]) / db + (1 - P[(1,) + c_sites]) / da + const
     return rhs - lhs, lhs, rhs, const
 
 
@@ -119,12 +125,16 @@ def dim_ssa_vs_subadd(state: DensityMatrix) -> InequalityReport:
     is that margin (negative means padded subadditivity wins there).
     """
     _require_applicable("dim-ssa-vs-subadd", state.dims, rule="dim-ssa")
-    da, db, c_sites, const = _abc(state)
-    P = state._marginal_purities
-    comparison = ((1.0 - 1.0 / db) * (1.0 - P[(0,) + c_sites]) + (1.0 - P[(1,)])
-                  - (1.0 - P[(1,) + c_sites]) / da + (1.0 - P[c_sites]) / (da * db))
-    return report_from_sides("dim-ssa-vs-subadd", const, comparison,
-                             extras={"comparison": comparison, "constant": const})
+    return _report("dim-ssa-vs-subadd", _dim_ssa_vs_subadd(state), "comparison", "constant")
+
+
+def _dim_ssa_vs_subadd(state: DensityMatrix) -> tuple:
+    """(slack, lhs, rhs, comparison, constant) of dim_ssa_vs_subadd: lhs is the constant, rhs the
+    comparison, on a state of three or more sites."""
+    P, da, db, c_sites, const = _abc(state)
+    comparison = ((1 - P.ratio(1, db)) * (1 - P[(0,) + c_sites]) + (1 - P[(1,)])
+                  - (1 - P[(1,) + c_sites]) / da + (1 - P[c_sites]) / (da * db))
+    return comparison - const, const, comparison, comparison, const
 
 
 def _subadd(state: DensityMatrix, q: float = 2.0) -> tuple:
@@ -140,9 +150,10 @@ def check_subadditivity(state: DensityMatrix, q: float = 2.0) -> InequalityRepor
     return _report("subadd", _subadd(state, _check_real("q", q, least=1.0)), "q")
 
 
-def _genpseudo_floor(s_ab, m: int):
-    """1 - (m/4)(1 - S(AB) + 1/m)^2, the bound on the gen-pseudo side; m = dA dB."""
-    return 1.0 - (m / 4.0) * (1.0 - s_ab + 1.0 / m) ** 2
+def _genpseudo_floor(P, s_ab, m: int):
+    """1 - (m/4)(1 - S(AB) + 1/m)^2, the bound on the gen-pseudo side; m = dA dB, constants in the
+    numbers of the table P."""
+    return 1 - P.ratio(m, 4) * (1 - s_ab + P.ratio(1, m)) ** 2
 
 
 def _genpseudo_side(s_a, s_b):
@@ -154,8 +165,8 @@ def _gen_pseudo(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, s_ab, s_a, s_b) of gen-pseudo on a state of two or more sites."""
     P = state._marginal_purities
     n = state.n_sites
-    s_ab, s_a, s_b = 1.0 - P[tuple(range(n))], 1.0 - P[(0,)], 1.0 - P[tuple(range(1, n))]
-    lhs, rhs = _genpseudo_floor(s_ab, state.dim), _genpseudo_side(s_a, s_b)
+    s_ab, s_a, s_b = 1 - P[tuple(range(n))], 1 - P[(0,)], 1 - P[tuple(range(1, n))]
+    lhs, rhs = _genpseudo_floor(P, s_ab, state.dim), _genpseudo_side(s_a, s_b)
     return rhs - lhs, lhs, rhs, s_ab, s_a, s_b
 
 
@@ -262,7 +273,7 @@ def _bisection_residual(kind: str, SA: np.ndarray, SB: np.ndarray, closed: np.nd
             return SA + SB - S
     else:
         def slack(S):
-            return _genpseudo_side(SA, SB) - _genpseudo_floor(S, m)
+            return _genpseudo_side(SA, SB) - _genpseudo_floor(_PurityTable, S, m)
 
     # slack is decreasing in S on [0, cap]; bisect for its root, capping
     # where the inequality still holds at the physical maximum
@@ -301,7 +312,7 @@ def classify_grid(s_a, s_b, s_c, dims):
               & (s_b <= s_a + s_c + RANGE_TOL))
 
     def pair_ok(dx, dy, sx, sy, sz):
-        return _genpseudo_floor(sz, dx * dy) <= _genpseudo_side(sx, sy) + RANGE_TOL
+        return _genpseudo_floor(_PurityTable, sz, dx * dy) <= _genpseudo_side(sx, sy) + RANGE_TOL
 
     genp = (pair_ok(da, db, s_a, s_b, s_c)
             & pair_ok(db, dc, s_b, s_c, s_a)

@@ -33,7 +33,17 @@ correlation mass is
 The reported value divides the raw mass by a normalization g chosen by a
 ``NormalizationPolicy``; by default g = d_min^2 - 1 between single sites
 (unit range) and g = (d_Omega - 1)(d_Sigma - 1) when a group is composite
-(separable bound).
+(separable bound).  Both defaults are written once, in ``_g``, which gives g
+as an int: the public ``resolve`` returns it as a float, and the check
+formulas read it directly.
+
+The check formulas at the end of this module are generic over the numbers
+their purity table holds.  Each keeps small integers as ints and takes every
+other constant (``P.ratio``) and every elementwise min and max (``P.min``,
+``P.max``) from the table, so on a float table it returns plain floats, bit
+for bit those of the float-only formulas it replaced, and on a table of
+Fractions or of (N,) arrays it returns Fractions or arrays.  A split pair's
+value comes from the optimizer and stays a float.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ import numpy as np
 from .errors import NotPureError
 from .reports import InequalityReport, _report, _require_applicable
 from .states import (PURITY_TOL, DensityMatrix, _check_count, _check_partition, _check_real, _is_pure,
-                     _marginal, derive_seed)
+                     _marginal, _PurityTable, derive_seed)
 
 # stacked split solves kept by _solve_split: the most that one check makes
 # on one sample (thm1i solves A|E and B|E as one stack, lemma5 solves A|B),
@@ -82,14 +92,17 @@ class NormalizationPolicy:
 
     def resolve(self, d_omega: int, d_sigma: int) -> float:
         """g for groups of these dimensions; raises unless g > 0 (a group of dimension 1 gives 0)."""
-        if self.rule == "explicit":
-            return self.value
-        g = (min(d_omega, d_sigma) ** 2 - 1 if self.rule == "unit-range"
-             else (d_omega - 1) * (d_sigma - 1))
-        if g <= 0:
-            raise ValueError(f"{self.rule} normalization needs a positive g, got {g!r} "
-                             f"for group dimensions ({d_omega}, {d_sigma})")
-        return float(g)
+        return self.value if self.rule == "explicit" else float(_g(self.rule, d_omega, d_sigma))
+
+
+def _g(rule: str, d_omega: int, d_sigma: int) -> int:
+    """The int g of the rule "unit-range" or "separable-bound" for groups of these dimensions;
+    ValueError unless g > 0.  Formulas call it directly, so their g keeps the table's number type."""
+    g = min(d_omega, d_sigma) ** 2 - 1 if rule == "unit-range" else (d_omega - 1) * (d_sigma - 1)
+    if g <= 0:
+        raise ValueError(f"{rule} normalization needs a positive g, got {g!r} "
+                         f"for group dimensions ({d_omega}, {d_sigma})")
+    return g
 
 
 _UNIT_RANGE, _SEPARABLE_BOUND = NormalizationPolicy("unit-range"), NormalizationPolicy("separable-bound")
@@ -313,9 +326,9 @@ def _is_closed(omega: tuple[int, ...], sigma: tuple[int, ...], d_om: int, d_sg: 
     return len(omega) > 1 or len(sigma) > 1 or d_om == d_sg
 
 
-def _closed_raw(d_om: int, d_sg: int, p_joint: float, p_om: float, p_sg: float) -> float:
+def _closed_raw(d_om: int, d_sg: int, p_joint, p_om, p_sg):
     """d_Omega d_Sigma P_OmegaSigma - d_Omega P_Omega - d_Sigma P_Sigma + 1 from the three purities."""
-    return d_om * d_sg * p_joint - d_om * p_om - d_sg * p_sg + 1.0
+    return d_om * d_sg * p_joint - d_om * p_om - d_sg * p_sg + 1
 
 
 def correlation_monotone(state: DensityMatrix, partition, policy: NormalizationPolicy | None = None,
@@ -421,45 +434,49 @@ def monotone_pure_exact(state: DensityMatrix, policy: NormalizationPolicy | None
 # inequality checks
 #
 # Each check is a private formula over the state's purity table, which
-# returns (slack, lhs, rhs, *named values) and runs no input rule: it
-# resolves g for its module-constant pairs, and reads each closed pair's raw
-# mass from the table (``_pair_value``).  Only a split pair goes through
-# correlation_monotone and its optimizer.  Campaigns call the formula and
-# read its slack; the public check applies the input rules and builds its
-# report from the same tuple (``reports._report``).
+# returns (slack, lhs, rhs, *named values) and runs no input rule: it takes
+# an int g for its module-constant pairs from ``_g``, and reads each closed
+# pair's raw mass from the table (``_pair_values``).  Only split pairs go
+# through the optimizer, as one stack (``_split_results``).  Integers stay
+# ints, and every other constant, min and max comes from the table
+# (``states._PurityTable``), so the formula returns the table's numbers:
+# floats on a state's table or its precise twin, Fractions on an exact table,
+# (N,) arrays on a stack.  A split pair's value is a float whatever the table.
+# Campaigns call the formula and read its slack; the public check applies the
+# input rules and builds its report from the same tuple (``reports._report``).
 
 # (omega, sigma, their sorted union) of each pair a check reads
 _A_B, _A_E, _B_E = ((0,), (1,), (0, 1)), ((0,), (2,), (0, 2)), ((1,), (2,), (1, 2))
 _AB_E, _A_BE = ((0, 1), (2,), (0, 1, 2)), ((0,), (1, 2), (0, 1, 2))
 
 
-def _pair_value(state: DensityMatrix, P, pair, d_om: int, d_sg: int, g: float,
-                config: OptimizerConfig | None = None) -> float:
-    """correlation_monotone(state, pair).value for groups of dimensions d_om, d_sg and their g.
+def _pair_values(state: DensityMatrix, P, pairs, d_om: int, d_sg: int, g: int,
+                 config: OptimizerConfig | None = None) -> list:
+    """correlation_monotone(state, pair).value of each pair, all of group dimensions d_om, d_sg and g.
 
-    A closed pair is the purity formula over the table P, so no partition is
-    re-checked and no MonotoneResult is built; a split pair is solved as a
-    stack of one (``_split_results``).
+    Closed pairs are the purity formula over the table P, so no partition is
+    re-checked and no MonotoneResult is built; split pairs, which share their
+    site order, ascend as one stack (``_split_results``).
     """
-    omega, sigma, joint = pair
-    if _is_closed(omega, sigma, d_om, d_sg):
-        return _closed_raw(d_om, d_sg, P[joint], P[omega], P[sigma]) / g
-    return _split_results(state, (pair,), g, config)[0].value
+    omega, sigma, _ = pairs[0]
+    if not _is_closed(omega, sigma, d_om, d_sg):
+        return [r.value for r in _split_results(state, pairs, g, config)]
+    # a loop, not a comprehension: on Python 3.11 that costs 0.5 us more per call
+    values = []
+    for om, sg, joint in pairs:
+        values.append(_closed_raw(d_om, d_sg, P[joint], P[om], P[sg]) / g)
+    return values
 
 
 def _thm1i(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple:
     """(slack, lhs, rhs, t_ae, t_be, t_abe, coefficient) of thm1i on a (d, d, d_E) state."""
     d, _, d_e = state.dims
     # A|E and B|E have the same dimensions, so g_AE = g_BE
-    g_e, g_abe = _UNIT_RANGE.resolve(d, d_e), _SEPARABLE_BOUND.resolve(d * d, d_e)
+    g_e, g_abe = _g("unit-range", d, d_e), _g("separable-bound", d * d, d_e)
     P = state._marginal_purities
-    if _is_closed(_A_E[0], _A_E[1], d, d_e):
-        t_ae, t_be = _pair_value(state, P, _A_E, d, d_e, g_e), _pair_value(state, P, _B_E, d, d_e, g_e)
-    else:
-        # A|E and B|E also share the site order, so they ascend as one stack
-        t_ae, t_be = (r.value for r in _split_results(state, (_A_E, _B_E), g_e, config))
-    t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g_abe)
-    coeff = g_abe / g_e
+    t_ae, t_be = _pair_values(state, P, (_A_E, _B_E), d, d_e, g_e, config)
+    (t_abe,) = _pair_values(state, P, (_AB_E,), d * d, d_e, g_abe)
+    coeff = P.ratio(g_abe, g_e)
     lhs, rhs = t_ae + t_be, coeff * t_abe
     return rhs - lhs, lhs, rhs, t_ae, t_be, t_abe, coeff
 
@@ -470,9 +487,9 @@ def check_thm1_i(state: DensityMatrix, config: OptimizerConfig | None = None) ->
     return _report("thm1i", _thm1i(state, config), "t_ae", "t_be", "t_abe", "coefficient")
 
 
-def _eve_bound(d: int, d_e: int, p_ab: float) -> float:
+def _eve_bound(d: int, d_e: int, p_ab):
     """(d^4 + 1 - 2 d^2 P_AB) / g_ABE from the AB purity P_AB = Tr(rho_AB^2)."""
-    return float((d ** 4 + 1 - 2.0 * d * d * p_ab) / _SEPARABLE_BOUND.resolve(d * d, d_e))
+    return (d ** 4 + 1 - 2 * d * d * p_ab) / _g("separable-bound", d * d, d_e)
 
 
 def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
@@ -490,11 +507,11 @@ def eve_bound(state_ab: DensityMatrix, d_e: int) -> float:
 def _thm1ii(state: DensityMatrix) -> tuple:
     """(slack, lhs, rhs, t_abe, g) of thm1ii on a (d, d, d_E) state."""
     d, _, d_e = state.dims
-    g = _SEPARABLE_BOUND.resolve(d * d, d_e)
+    g = _g("separable-bound", d * d, d_e)
     P = state._marginal_purities
-    t_abe = _pair_value(state, P, _AB_E, d * d, d_e, g)
+    (t_abe,) = _pair_values(state, P, (_AB_E,), d * d, d_e, g)
     bound = _eve_bound(d, d_e, P[(0, 1)])
-    return bound - t_abe, t_abe, bound, t_abe, g
+    return bound - t_abe, t_abe, bound, t_abe, P.ratio(g)
 
 
 def check_thm1_ii(state: DensityMatrix) -> InequalityReport:
@@ -511,11 +528,11 @@ def excess(value: float, d: int) -> float:
 def _lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) -> tuple:
     """(slack, lhs, rhs, t_ab, t_a_be) of lemma5 on a three-site state."""
     d_a, d_b, d_e = state.dims
-    g_ab, g_abe = _UNIT_RANGE.resolve(d_a, d_b), _SEPARABLE_BOUND.resolve(d_a, d_b * d_e)
+    g_ab, g_abe = _g("unit-range", d_a, d_b), _g("separable-bound", d_a, d_b * d_e)
     P = state._marginal_purities
-    t_ab = _pair_value(state, P, _A_B, d_a, d_b, g_ab, config)
-    t_abe = _pair_value(state, P, _A_BE, d_a, d_b * d_e, g_abe)
-    lhs = (g_ab / g_abe) * t_ab
+    (t_ab,) = _pair_values(state, P, (_A_B,), d_a, d_b, g_ab, config)
+    (t_abe,) = _pair_values(state, P, (_A_BE,), d_a, d_b * d_e, g_abe)
+    lhs = P.ratio(g_ab, g_abe) * t_ab
     return t_abe - lhs, lhs, t_abe, t_ab, t_abe
 
 
@@ -525,9 +542,9 @@ def check_lemma5(state: DensityMatrix, config: OptimizerConfig | None = None) ->
     return _report("lemma5", _lemma5(state, config), "t_ab", "t_a_be")
 
 
-def _lemma6_bounds(d: int, d_e: int, g: float, t: float) -> tuple[float, float]:
-    """lemma6_bounds with g = d^2 - 1 resolved, and no input rules."""
-    return max(0.0, d * d / d_e - 1.0 - g * t), min(2.0 * d - 2.0, g * (1.0 - t))
+def _lemma6_bounds(P, d: int, d_e: int, g: int, t) -> tuple:
+    """lemma6_bounds in the numbers of the table P, with g = d^2 - 1 resolved, and no input rules."""
+    return P.max(P.ratio(0), P.ratio(d * d, d_e) - 1 - g * t), P.min(P.ratio(2 * d - 2), g * (1 - t))
 
 
 def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
@@ -540,20 +557,20 @@ def lemma6_bounds(d: int, d_e: int, t: float) -> tuple[float, float]:
     d = _check_count("dimension", d, 2)
     d_e = _check_count("environment dimension", d_e)
     t = _check_real("monotone value", t, least=0.0, most=1.0)
-    return _lemma6_bounds(d, d_e, _UNIT_RANGE.resolve(d, d), t)
+    return _lemma6_bounds(_PurityTable, d, d_e, _g("unit-range", d, d), t)
 
 
 def _lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> tuple:
     """(slack, lower, upper, local_mass, t, d_e) of lemma6 on a d x d state; d_e defaults to d^2."""
     d = state_ab.dims[0]
     d_e = d * d if d_e is None else d_e
-    g = _UNIT_RANGE.resolve(d, d)
+    g = _g("unit-range", d, d)
     P = state_ab._marginal_purities
     # ||T^A||^2 + ||T^B||^2 by the purity identity on each site
-    local = d * (P[(0,)] + P[(1,)]) - 2.0
-    t = _pair_value(state_ab, P, _A_B, d, d, g)
-    lower, upper = _lemma6_bounds(d, d_e, g, min(max(t, 0.0), 1.0))
-    return min(local - lower, upper - local), lower, upper, local, t, d_e
+    local = d * (P[(0,)] + P[(1,)]) - 2
+    (t,) = _pair_values(state_ab, P, (_A_B,), d, d, g)
+    lower, upper = _lemma6_bounds(P, d, d_e, g, P.min(P.max(t, P.ratio(0)), P.ratio(1)))
+    return P.min(local - lower, upper - local), lower, upper, local, t, d_e
 
 
 def check_lemma6(state_ab: DensityMatrix, d_e: int | None = None) -> InequalityReport:

@@ -42,21 +42,8 @@ class InequalityReport:
     extras: dict = field(default_factory=dict)
 
 
-def report_from_sides(name: str, lhs: float, rhs: float, *, slack: float | None = None,
-                      extras: dict | None = None) -> InequalityReport:
-    """The report of lhs <= rhs; ``slack`` defaults to rhs - lhs."""
-    slack = rhs - lhs if slack is None else slack
-    return InequalityReport(
-        inequality=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        holds=bool(slack >= -SLACK_TOL),
-        extras=extras or {},
-    )
-
-
 def _report(name: str, values: tuple, *names: str) -> InequalityReport:
     """The report of a check's formula values (slack, lhs, rhs, *named), its extras keyed by ``names``."""
     slack, lhs, rhs, *named = values
-    return report_from_sides(name, lhs, rhs, slack=slack, extras=dict(zip(names, named)))
+    return InequalityReport(inequality=name, lhs=float(lhs), rhs=float(rhs), slack=float(slack),
+                            holds=bool(slack >= -SLACK_TOL), extras=dict(zip(names, named)))

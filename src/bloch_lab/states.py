@@ -22,7 +22,13 @@ owns the purity table: every Tr(rho_v^2) is read from the state's one
 ``_PurityTable``, ``state._marginal_purities``, and memoized there.  The
 precise re-check runs the same formulas on ``_precise(state)``, a twin that
 shares the state's dims and matrix and whose own table reduces with
-math.fsum.
+math.fsum.  The table also sets the number type of every formula that reads
+it: a formula takes each non-integer constant from ``P.ratio(n, m)`` and each
+elementwise min and max from ``P.min`` and ``P.max``, and keeps small integers
+as ints.  So one formula runs on the float and fsum tables here, and on a
+table of exact Fractions or of (N,) arrays (one entry per state of a stack)
+that overrides those three.  Draws and twins are built by ``_wrap``, which
+runs no check.
 """
 
 from __future__ import annotations
@@ -254,9 +260,22 @@ class _PurityTable(dict):
     one numpy reduction, its ``_precise`` twin's with math.fsum: the
     reduction is the only place where the standard and precise evaluations
     differ.
+
+    Formulas take from the table what depends on the number type of its
+    entries: ``ratio`` for each non-integer constant, ``min`` and ``max``
+    for each elementwise bound.  Here these are int/int division and the
+    builtins, so a formula on a float table returns plain floats; a table of
+    Fractions or of arrays overrides them.  The class itself is the float
+    arithmetic where no table is at hand (the public bounds, the figure grids).
     """
 
     __slots__ = ("dims", "matrix", "precise")
+    min, max = staticmethod(min), staticmethod(max)
+
+    @staticmethod
+    def ratio(n: int, m: int = 1) -> float:
+        """n / m as a number of this table: a float, correctly rounded."""
+        return n / m
 
     def __init__(self, dims: tuple[int, ...], matrix: np.ndarray, precise: bool):
         self.dims, self.matrix, self.precise = dims, matrix, precise
@@ -271,6 +290,20 @@ class _PurityTable(dict):
         return value
 
 
+def _wrap(dims: tuple[int, ...], matrix: np.ndarray, precise: bool = False) -> DensityMatrix:
+    """A state on dims that ``_check_dims`` returned and a complex matrix, made read-only, with a
+    fresh purity table (fsum-reduced when ``precise``).
+
+    It skips ``__post_init__``, whose checks the draws and twins it builds
+    have passed: a draw is a density matrix by construction on dims its
+    caller checked, and a twin shares a built state's dims and matrix.
+    """
+    matrix.setflags(write=False)
+    state = object.__new__(DensityMatrix)
+    state.dims, state.matrix, state._marginal_purities = dims, matrix, _PurityTable(dims, matrix, precise)
+    return state
+
+
 def _precise(state: DensityMatrix) -> DensityMatrix:
     """A twin of ``state`` whose purity table reduces with math.fsum: any formula run on it is
     the precise re-check.
@@ -278,13 +311,9 @@ def _precise(state: DensityMatrix) -> DensityMatrix:
     The twin shares the state's ``dims`` and read-only ``matrix`` (the same
     objects), so its marginals, split-memo keys and spectra are the state's;
     only its table, empty when built, is its own.  No read through the twin
-    writes the state's table.  It skips ``__post_init__``, whose checks the
-    state has passed.
+    writes the state's table.
     """
-    twin = object.__new__(DensityMatrix)
-    twin.dims, twin.matrix = state.dims, state.matrix
-    twin._marginal_purities = _PurityTable(state.dims, state.matrix, True)
-    return twin
+    return _wrap(state.dims, state.matrix, True)
 
 
 def _marginal_spectrum(state: DensityMatrix, keep) -> np.ndarray:
@@ -406,10 +435,10 @@ def _draw(dims: tuple[int, ...], spec: EnsembleSpec, index: int) -> DensityMatri
     """random_state on dims that ``_check_dims`` already returned (a campaign checks them once)."""
     kind = spec.canonical_kind()
     if kind != "product-of":
-        return DensityMatrix(dims, _draw_matrix(_rng(spec.seed, index), prod(dims),
-                                                kind == "pure-haar", spec.rank_cap))
+        return _wrap(dims, _draw_matrix(_rng(spec.seed, index), prod(dims),
+                                        kind == "pure-haar", spec.rank_cap))
     if len(spec.factors) != len(dims):
         raise ValueError(f"product-of needs one factor kind per site ({len(dims)} sites)")
     rng = _rng(spec.seed, index)
-    return DensityMatrix(dims, reduce(np.kron, [_draw_matrix(rng, d, f == "pure-haar", spec.rank_cap)
-                                                for d, f in zip(dims, spec.factors)]))
+    return _wrap(dims, reduce(np.kron, [_draw_matrix(rng, d, f == "pure-haar", spec.rank_cap)
+                                        for d, f in zip(dims, spec.factors)]))

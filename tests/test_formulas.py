@@ -1,20 +1,23 @@
 """Checks as formulas over the purity table: frozen values, the formulas against their
-public checks, pair values, and what a campaign skips."""
+public checks, pair values, what a campaign skips, and the same formulas on exact
+Fraction tables and on stacks of states."""
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bloch_lab import (Campaign, EnsembleSpec, OptimizerConfig, applicable_inequalities, check_lemma5,
-                       check_lemma6, check_thm1_i, check_thm1_ii, correlation_monotone, precise_slack,
-                       random_state, run_campaign)
-from bloch_lab import monotone, reports, states
+from bloch_lab import (Campaign, DensityMatrix, EnsembleSpec, OptimizerConfig, applicable_inequalities,
+                       check_lemma5, check_lemma6, check_thm1_i, check_thm1_ii, correlation_monotone,
+                       precise_slack, random_state, run_campaign)
+from bloch_lab import entropy, monotone, reports, states
 from bloch_lab.reports import _APPLIES
-from bloch_lab.states import _precise
+from bloch_lab.states import _precise, _PurityTable
 from bloch_lab.verify import CAMPAIGN_RESTARTS, _check_for, make_check_table
 
 FROZEN_FILE = Path(__file__).with_name("frozen_check_reprs.json")
@@ -145,3 +148,89 @@ def test_check_pair_values_equal_the_monotone_bit_for_bit(dims, precise):
                     for key, pair in pairs.items()}
             assert {key: repr(report.extras[key]) for key in pairs} == {
                 key: repr(value) for key, value in want.items()}, (name, kind)
+
+
+# ---------------------------------------------------------------------------
+# one formula for every number type: exact Fractions and stacks of states
+
+GENERIC_SHAPES = ((2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 3))
+
+
+def closed_formulas(dims) -> dict:
+    """name -> formula of every check applicable to dims that reads only the purity table:
+    the campaign formulas but a split thm1i, and dim-ssa-vs-subadd."""
+    formulas = make_check_table(dims, restarts=CAMPAIGN_RESTARTS)
+    if dims == (2, 2, 3):
+        del formulas["thm1i"]  # A|E and B|E are split pairs, which run the optimizer
+    if _APPLIES["dim-ssa"](dims):
+        formulas["dim-ssa-vs-subadd"] = entropy._dim_ssa_vs_subadd
+    return formulas
+
+
+@pytest.mark.parametrize("dims", GENERIC_SHAPES)
+def test_formulas_on_an_exact_table_return_fractions_near_the_float_slack(dims, exact_twin):
+    # the float slacks carry their own rounding, up to 1.4e-15 on a gen-pseudo slack of 7.0
+    # (3,3,3), so the bound is 1e-15 relative to slacks above 1
+    for kind, index in FROZEN_STATES:
+        state = random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
+        exact = exact_twin(state)
+        for name, formula in closed_formulas(dims).items():
+            got = formula(exact)[0]
+            assert type(got) is Fraction, (kind, index, name)
+            for view in (state, _precise(state)):
+                want = formula(view)[0]
+                assert abs(got - Fraction(want)) <= 1e-15 * max(1.0, abs(want)), (kind, index, name)
+
+
+# exact state (the exact_states fixture) -> the checks whose bound it meets with equality
+EXACT_TIGHT = {
+    "1/2 x Phi_2": ("thm1i", "lemma5", "dim-ssa", "subadd"),
+    "maximally mixed (2,2,2)": ("thm1i", "lemma5", "dim-ssa", "gen-pseudo"),
+    "maximally mixed (2,2)": ("lemma6", "gen-pseudo"),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_TIGHT)
+def test_tight_states_give_an_exact_zero_slack(name, exact_states, exact_twin):
+    state = exact_twin(exact_states[name])
+    formulas = make_check_table(state.dims)
+    for check in EXACT_TIGHT[name]:
+        slack = formulas[check](state)[0]
+        assert type(slack) is Fraction and slack == 0, check
+
+
+class StackTable(_PurityTable):
+    """Purities of a stack of states of one shape: each entry is the (N,) array of the states'
+    own float purities, and min and max are elementwise."""
+
+    __slots__ = ("states",)
+    min, max = staticmethod(np.minimum), staticmethod(np.maximum)
+
+    def __init__(self, states):
+        super().__init__(states[0].dims, None, False)
+        self.states = states
+
+    def __missing__(self, keep: tuple[int, ...]) -> np.ndarray:
+        value = self[keep] = np.array([s._marginal_purities[keep] for s in self.states])
+        return value
+
+
+def stacked(states) -> DensityMatrix:
+    """A stand-in state whose purity table is the StackTable of ``states``; it has no matrix."""
+    stack = object.__new__(DensityMatrix)
+    stack.dims, stack.matrix, stack._marginal_purities = states[0].dims, None, StackTable(states)
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dims", GENERIC_SHAPES)
+def test_formulas_on_a_stack_table_equal_the_per_state_runs_bit_for_bit(dims, n):
+    states = [random_state(dims, EnsembleSpec(kind, seed=FROZEN_SEED), index)
+              for kind, index in FROZEN_STATES[:n]]
+    for name, formula in closed_formulas(dims).items():
+        want = [formula(state) for state in states]
+        got = formula(stacked(states))
+        assert len(got) == len(want[0]), name
+        for k, value in enumerate(got):
+            column = np.broadcast_to(value, (n,)).tolist()
+            assert [repr(v) for v in column] == [repr(row[k]) for row in want], (name, k)
